@@ -24,9 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import OutcomeKind, Toss, TossString, _validate_pair
-
-_SWAP = str.maketrans("HT", "TH")
+from .engine import OutcomeKind, TossString, _SWAP, _validate_pair
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,7 @@ def _constant_opponent(
     constant_letter: str, other: str, n: int, constant_is_alice: bool
 ) -> Prediction | None:
     x = constant_letter
-    near_match = x * (n - 1) + ("T" if x == "H" else "H")
+    near_match = x * (n - 1) + x.translate(_SWAP)
     if constant_is_alice:
         # The constant mover always repeats her letter; the opponent wins
         # exactly when his string rides that stream from an odd or even
@@ -175,10 +173,10 @@ def predict_special_strings(alice: TossString, bob: TossString) -> Prediction | 
     if bob.is_constant():
         return _constant_opponent(bob.text[0], alice.text, n, constant_is_alice=False)
     if n >= 2:
-        opposite = {"H": "T", "T": "H"}
-        if alice.is_alternating() and bob.text[:2] == opposite[alice.text[0]] * 2:
+        a, b = alice.text, bob.text
+        if alice.is_alternating() and b[:2] == a[0].translate(_SWAP) * 2:
             return Prediction("alternating-vs-doubled", OutcomeKind.ALICE_WINS, tosses=n)
-        if bob.is_alternating() and alice.text[:2] == opposite[bob.text[0]] * 2:
+        if bob.is_alternating() and a[:2] == b[0].translate(_SWAP) * 2:
             return Prediction(
                 "alternating-vs-doubled", OutcomeKind.BOB_WINS, tosses=n + 1
             )

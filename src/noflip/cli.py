@@ -22,7 +22,7 @@ import sys
 
 from . import enumeration, forcing
 from .analysis import all_predictions
-from .engine import Outcome, Player, parse_toss_string, play
+from .engine import MAX_LENGTH, Outcome, Player, parse_toss_string, play
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -48,6 +48,10 @@ def _lengths(raw: str) -> list[int]:
         )
     if first < 1 or last < first:
         raise argparse.ArgumentTypeError(f"bad length range {raw!r}")
+    if last > MAX_LENGTH:
+        raise argparse.ArgumentTypeError(
+            f"lengths must be at most {MAX_LENGTH}, got {raw!r}"
+        )
     return list(range(first, last + 1))
 
 
@@ -171,6 +175,9 @@ def _census_doc(c: enumeration.OutcomeCensus) -> dict:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     cap = enumeration.sweep_cap_from_env()
     workers = args.threads
+    # Lengths come in ascending order: checking the longest before the first
+    # sweep refuses a bad range without sweeping the lengths in front of it.
+    enumeration._check_sweep_args(args.n[-1], cap, workers)
     if args.what == "census":
         rows = [enumeration.census(n, cap=cap, workers=workers) for n in args.n]
         if args.format == "csv":
@@ -225,6 +232,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cap = enumeration.sweep_cap_from_env()
+    enumeration._check_sweep_args(args.n[-1], cap, 1)
     suites = (
         enumeration.VERIFY_SUITES if args.suite == "all" else (args.suite,)
     )

@@ -12,7 +12,7 @@ The pair (alice progress, bob progress, whose turn) determines the
 future of the game as well; if that triplet ever repeats, the game
 cycles forever and is classified Infinite.  Finite games of length-n
 strings end within ``finite_toss_bound(n)`` tosses, which the engine
-asserts as a cross-check on every playout.
+checks on every playout.
 
 Progress updates are answered by a precomputed pattern-matching
 automaton per string (transition table derived from the classic
@@ -30,6 +30,8 @@ from functools import lru_cache
 MAX_LENGTH = 63  # a packed toss string must fit in one machine word
 
 _H, _T = 0, 1
+
+_SWAP = str.maketrans("HT", "TH")  # complement of a toss text
 
 
 class Toss(Enum):
@@ -149,44 +151,39 @@ def parse_toss_string(text: str) -> TossString:
     return TossString.from_text(text)
 
 
-def _char_bits(length: int, bits: int) -> tuple[int, ...]:
-    """The string as a tuple of 0 (H) / 1 (T), first toss first."""
-    return tuple((bits >> (length - 1 - j)) & 1 for j in range(length))
+def _kmp_tables(
+    length: int, bits: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The string as 0 (H) / 1 (T) characters, first toss first, with its
+    failure function and transition rows, built in one Knuth-Morris-Pratt
+    pass.
 
-
-def _failure_table(chars: tuple[int, ...]) -> tuple[int, ...]:
-    """failure[i] = longest proper border of the first i+1 characters."""
-    fail = [0] * len(chars)
-    k = 0
-    for i in range(1, len(chars)):
-        while k and chars[i] != chars[k]:
-            k = fail[k - 1]
-        if chars[i] == chars[k]:
-            k += 1
-        fail[i] = k
-    return tuple(fail)
-
-
-def _transition_rows(
-    chars: tuple[int, ...], fail: tuple[int, ...]
-) -> tuple[tuple[int, int], ...]:
-    """rows[s][c] = progress after reading toss c in progress state s."""
+    failure[i] is the longest proper border of the first i+1 characters;
+    rows[s][c] is the progress after reading toss c in progress state s.
+    State s copies the row of its fallback state failure[s-1], which is
+    shorter and so already built, and the failure function extends along
+    the same row: failure[s] is where that row sends the character at s.
+    """
+    chars = tuple((bits >> (length - 1 - j)) & 1 for j in range(length))
+    fail = [0] * length
     rows: list[tuple[int, int]] = []
-    for state in range(len(chars)):
-        row = [0, 0]
-        for c in (_H, _T):
-            if c == chars[state]:
-                row[c] = state + 1
-            elif state:
-                row[c] = rows[fail[state - 1]][c]
+    for state, c in enumerate(chars):
+        if state:
+            row = list(rows[fail[state - 1]])
+            fail[state] = row[c]
+        else:
+            row = [0, 0]
+        row[c] = state + 1
         rows.append((row[0], row[1]))
-    return tuple(rows)
+    return chars, tuple(fail), tuple(rows)
 
 
 @lru_cache(maxsize=4096)
 def _tables_for(length: int, bits: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    chars = _char_bits(length, bits)
-    return chars, _transition_rows(chars, _failure_table(chars))
+    """Cached characters and transition rows; playouts never read the
+    failure function, so the cache does not hold it."""
+    chars, _, rows = _kmp_tables(length, bits)
+    return chars, rows
 
 
 @dataclass(frozen=True)
@@ -205,9 +202,8 @@ class ProgressAutomaton:
 
     @classmethod
     def build(cls, pattern: TossString) -> ProgressAutomaton:
-        chars = _char_bits(pattern.length, pattern.bits)
-        fail = _failure_table(chars)
-        return cls(pattern, fail, _transition_rows(chars, fail))
+        _, fail, rows = _kmp_tables(pattern.length, pattern.bits)
+        return cls(pattern, fail, rows)
 
     def step(self, state: int, toss: Toss) -> int:
         if not 0 <= state < self.pattern.length:
@@ -375,7 +371,8 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
 
     Returns the outcome and the full trace.  State repetition is the
     primary Infinite classifier; the counting bound from
-    :func:`finite_toss_bound` is asserted afterwards as a cross-check.
+    :func:`finite_toss_bound` is checked afterwards as a cross-check,
+    raising ``RuntimeError`` if it fails.
     """
     n = _validate_pair(alice, bob)
     ca, ra = _tables_for(alice.length, alice.bits)
@@ -409,11 +406,13 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
             outcome = Outcome.bob_wins(k)
             break
 
+    # A win lands on toss k and a repeat is found at toss entry + period == k.
     bound = finite_toss_bound(n)
-    if outcome.is_infinite:
-        assert outcome.entry + outcome.period <= bound, (alice, bob, outcome)
-    else:
-        assert outcome.tosses <= bound, (alice, bob, outcome)
+    if k > bound:
+        raise RuntimeError(
+            f"{alice.text}/{bob.text}: {outcome.describe()} is past the toss "
+            f"bound {bound}"
+        )
     return outcome, GameTrace(tuple(tosses), tuple(states))
 
 

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .engine import (
+    MAX_LENGTH,
     OutcomeKind,
     Player,
     TossString,
-    _char_bits,
-    _failure_table,
-    _transition_rows,
+    _SWAP,
+    _tables_for,
     finite_toss_bound,
     play,
     scan_progress,
@@ -46,8 +46,8 @@ VERIFY_SUITES = ("bound", "predicates", "forcing", "symmetry")
 
 
 def _check_sweep_args(n: int, cap: int, workers: int) -> None:
-    if n < 1:
-        raise ValueError(f"string length must be positive, got {n}")
+    if not 1 <= n <= MAX_LENGTH:
+        raise ValueError(f"string length must be 1..{MAX_LENGTH}, got {n}")
     if n > cap:
         raise ValueError(
             f"length {n} exceeds the sweep cap {cap}; raise the cap explicitly "
@@ -59,14 +59,8 @@ def _check_sweep_args(n: int, cap: int, workers: int) -> None:
 
 @lru_cache(maxsize=8)
 def _sweep_tables(n: int):
-    """Per-code character tuples and transition tables for length n."""
-    chars = []
-    rows = []
-    for code in range(1 << n):
-        cb = _char_bits(n, code)
-        chars.append(cb)
-        rows.append(_transition_rows(cb, _failure_table(cb)))
-    return tuple(chars), tuple(rows)
+    """The engine's (characters, rows) tables of every code of length n."""
+    return tuple(_tables_for(n, code) for code in range(1 << n))
 
 
 def _playout_code(ca, ra, cb, rb, n: int, bound: int) -> tuple[int, int]:
@@ -93,7 +87,9 @@ def _run_chunks(worker, n: int, total: int, workers: int) -> list:
     spans = _ranges(total, workers)
     if workers == 1 or len(spans) == 1:
         return [worker((n, lo, hi)) for lo, hi in spans]
-    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+    # Spans stay as requested, so the merge order and the output do not
+    # depend on how many processes actually run them.
+    with ProcessPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
         return list(pool.map(worker, [(n, lo, hi) for lo, hi in spans]))
 
 
@@ -126,23 +122,15 @@ class OutcomeCensus:
 
 def _census_chunk(args: tuple[int, int, int]) -> tuple[int, int, int]:
     n, lo, hi = args
-    chars, rows = _sweep_tables(n)
+    tables = _sweep_tables(n)
     bound = finite_toss_bound(n)
-    size = 1 << n
-    alice = bob = neither = 0
+    counts = [0, 0, 0]  # indexed by _ALICE_WIN, _BOB_WIN, _NO_WIN
     for ai in range(lo, hi):
-        ca, ra = chars[ai], rows[ai]
-        for bi in range(size):
-            if bi == ai:
-                continue
-            result, _ = _playout_code(ca, ra, chars[bi], rows[bi], n, bound)
-            if result == _ALICE_WIN:
-                alice += 1
-            elif result == _BOB_WIN:
-                bob += 1
-            else:
-                neither += 1
-    return alice, bob, neither
+        ca, ra = tables[ai]
+        for bi, (cb, rb) in enumerate(tables):
+            if bi != ai:
+                counts[_playout_code(ca, ra, cb, rb, n, bound)[0]] += 1
+    return counts[_ALICE_WIN], counts[_BOB_WIN], counts[_NO_WIN]
 
 
 def census(
@@ -173,17 +161,16 @@ class LengthStats:
 
 def _longest_chunk(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, int]]]:
     n, lo, hi = args
-    chars, rows = _sweep_tables(n)
+    tables = _sweep_tables(n)
     bound = finite_toss_bound(n)
-    size = 1 << n
     best = 0
     witnesses: list[tuple[int, int]] = []
     for ai in range(lo, hi):
-        ca, ra = chars[ai], rows[ai]
-        for bi in range(size):
+        ca, ra = tables[ai]
+        for bi, (cb, rb) in enumerate(tables):
             if bi == ai:
                 continue
-            result, tosses = _playout_code(ca, ra, chars[bi], rows[bi], n, bound)
+            result, tosses = _playout_code(ca, ra, cb, rb, n, bound)
             if result == _NO_WIN or tosses < best:
                 continue
             if tosses > best:
@@ -215,20 +202,19 @@ def longest_finite(
 
 def _no_loss_chunk(args: tuple[int, int, int]) -> list[int]:
     n, lo, hi = args
-    chars, rows = _sweep_tables(n)
+    tables = _sweep_tables(n)
     bound = finite_toss_bound(n)
-    size = 1 << n
     constant_h = 0
     kept: list[int] = []
     for ai in range(lo, hi):
         if ai == constant_h:
             continue
-        ca, ra = chars[ai], rows[ai]
+        ca, ra = tables[ai]
         vulnerable = False
-        for bi in range(size):
+        for bi, (cb, rb) in enumerate(tables):
             if bi == ai:
                 continue
-            result, _ = _playout_code(ca, ra, chars[bi], rows[bi], n, bound)
+            result, _ = _playout_code(ca, ra, cb, rb, n, bound)
             if result == _ALICE_WIN:
                 vulnerable = True
                 break
@@ -238,17 +224,11 @@ def _no_loss_chunk(args: tuple[int, int, int]) -> list[int]:
 
 
 def no_loss_strings(
-    n: int,
-    role: Player = Player.BOB,
-    *,
-    cap: int = DEFAULT_SWEEP_CAP,
-    workers: int = 1,
+    n: int, *, cap: int = DEFAULT_SWEEP_CAP, workers: int = 1
 ) -> list[TossString]:
     """Alice strings (starting with H, non-constant) that no opponent
     string can ever make win: against them, the second player cannot
-    throw the game.  Only the second player's census is supported."""
-    if role is not Player.BOB:
-        raise ValueError("no-loss census is only computed for role=Player.BOB")
+    throw the game."""
     _check_sweep_args(n, cap, workers)
     # H-first strings occupy codes 0 .. 2^(n-1)-1; code 0 is the constant.
     top = 1 << (n - 1)
@@ -292,7 +272,7 @@ def _bound_suite(n: int) -> tuple[int, list[str]]:
     """Replay every pair and check the counting bound, agreement of the
     repeated-state and toss-cutoff classifiers, forbidden states, mover
     increments, and (for n <= 6) the direct-scan progress oracle."""
-    chars, rows = _sweep_tables(n)
+    tables = _sweep_tables(n)
     bound = finite_toss_bound(n)
     check_oracle = n <= 6
     checks = 0
@@ -301,10 +281,9 @@ def _bound_suite(n: int) -> tuple[int, list[str]]:
         checks += 1
         pair = f"{alice.text}/{bob.text}"
         outcome, trace = play(alice, bob)
-        cutoff_result, cutoff_tosses = _playout_code(
-            chars[alice.bits], rows[alice.bits], chars[bob.bits], rows[bob.bits],
-            n, bound,
-        )
+        ca, ra = tables[alice.bits]
+        cb, rb = tables[bob.bits]
+        cutoff_result, cutoff_tosses = _playout_code(ca, ra, cb, rb, n, bound)
         if outcome.is_infinite:
             if cutoff_result != _NO_WIN:
                 violations.append(f"{pair}: classifiers disagree (repeat vs cutoff)")
@@ -402,25 +381,22 @@ def _exists_forcer(
     role: Player, goal: forcing.ForceGoal, opponent: TossString
 ) -> bool:
     n = opponent.length
-    chars, rows = _sweep_tables(n)
+    tables = _sweep_tables(n)
     bound = finite_toss_bound(n)
     opp = opponent.bits
+    co, ro = tables[opp]
     wanted = {
         forcing.ForceGoal.WIN: _BOB_WIN if role is Player.BOB else _ALICE_WIN,
         forcing.ForceGoal.LOSS: _ALICE_WIN if role is Player.BOB else _BOB_WIN,
         forcing.ForceGoal.INFINITE_GAME: _NO_WIN,
     }[goal]
-    for code in range(1 << n):
+    for code, (cc, rc) in enumerate(tables):
         if code == opp:
             continue
         if role is Player.BOB:
-            result, _ = _playout_code(
-                chars[opp], rows[opp], chars[code], rows[code], n, bound
-            )
+            result, _ = _playout_code(co, ro, cc, rc, n, bound)
         else:
-            result, _ = _playout_code(
-                chars[code], rows[code], chars[opp], rows[opp], n, bound
-            )
+            result, _ = _playout_code(cc, rc, co, ro, n, bound)
         if result == wanted:
             return True
     return False
@@ -428,7 +404,6 @@ def _exists_forcer(
 
 def _symmetry_suite(n: int) -> tuple[int, list[str]]:
     """Complementing both strings must mirror the playout exactly."""
-    swap = str.maketrans("HT", "TH")
     checks = 0
     violations: list[str] = []
     for alice, bob in _pairs(n):
@@ -438,7 +413,7 @@ def _symmetry_suite(n: int) -> tuple[int, list[str]]:
         mirrored, mirrored_trace = play(alice.complement(), bob.complement())
         if mirrored != outcome:
             violations.append(f"{pair}: outcome changes under complementation")
-        if mirrored_trace.text != trace.text.translate(swap):
+        if mirrored_trace.text != trace.text.translate(_SWAP):
             violations.append(f"{pair}: trace does not mirror under complementation")
     return checks, violations
 

@@ -26,11 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .engine import Outcome, OutcomeKind, Player, TossString, play
+from .engine import Outcome, OutcomeKind, Player, Toss, TossString, _SWAP, play
 
 DEFAULT_SEARCH_CAP = 16
-
-_SWAP = str.maketrans("HT", "TH")
 
 
 class ForceGoal(Enum):
@@ -71,10 +69,6 @@ _GOAL_KINDS = {
 }
 
 
-def _comp(ch: str) -> str:
-    return "T" if ch == "H" else "H"
-
-
 def _playout(role: Player, opponent: TossString, own: TossString) -> Outcome:
     if role is Player.ALICE:
         return play(own, opponent)[0]
@@ -85,10 +79,9 @@ def _attempt(
     role: Player,
     goal: ForceGoal,
     opponent: TossString,
-    candidate_text: str,
+    candidate: TossString,
     method: str,
 ) -> ForceResult | None:
-    candidate = TossString.from_text(candidate_text)
     if candidate == opponent:
         return None
     outcome = _playout(role, opponent, candidate)
@@ -110,9 +103,8 @@ def _finish(
     """Try each (candidate text, method) in order, mapping back out of
     the normalized frame, and verify against the real opponent."""
     for text, method in attempts:
-        if flipped:
-            text = text.translate(_SWAP)
-        result = _attempt(role, goal, opponent, text, method)
+        candidate = TossString.from_text(text.translate(_SWAP) if flipped else text)
+        result = _attempt(role, goal, opponent, candidate, method)
         if result is not None:
             return result
     if guaranteed:
@@ -131,24 +123,21 @@ def _search(
     n = opponent.length
     if n > cap:
         return ForceResult(ForceStatus.UNKNOWN, "exhaustive-search")
-    flipped = opponent.at(1).value == "T"
-    normalized = opponent.complement() if flipped else opponent
+    mask = (1 << n) - 1 if _normalize(opponent)[1] else 0
     for code in range(1 << n):
-        candidate = TossString(n, code)
-        if candidate == normalized:
-            continue
-        text = candidate.text.translate(_SWAP) if flipped else candidate.text
-        result = _attempt(role, goal, opponent, text, "exhaustive-search")
+        candidate = TossString(n, code ^ mask)
+        result = _attempt(role, goal, opponent, candidate, "exhaustive-search")
         if result is not None:
             return result
     return ForceResult(ForceStatus.IMPOSSIBLE, "exhaustive-search")
 
 
-def _normalize(opponent: TossString) -> tuple[str, bool]:
-    """The opponent's text with a leading H, plus whether it was flipped."""
-    if opponent.at(1).value == "T":
-        return opponent.complement().text, True
-    return opponent.text, False
+def _normalize(opponent: TossString) -> tuple[TossString, bool]:
+    """The opponent mapped to the frame where it starts with H, plus
+    whether that took complementing it."""
+    if opponent.at(1) is Toss.T:
+        return opponent.complement(), True
+    return opponent, False
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +161,8 @@ def bob_force_win(alice: TossString) -> ForceResult:
         attempts = [(a[0] + a[0] + a[1 : n - 1], "double-first-letter")]
     else:
         k = alice.first_double()
-        attempts = [(_comp(a[k - 1]) + a[: n - 1], "flip-before-first-double")]
+        flip = a[k - 1].translate(_SWAP)
+        attempts = [(flip + a[: n - 1], "flip-before-first-double")]
     return _finish(Player.BOB, ForceGoal.WIN, alice, attempts, False, guaranteed=True)
 
 
@@ -181,7 +171,7 @@ def alice_force_win(bob: TossString) -> ForceResult:
     first letter and copy his prefix behind it.  She wins on toss n."""
     n = bob.length
     b = bob.text
-    attempts = [(_comp(b[0]) + b[: n - 1], "flip-first-letter")]
+    attempts = [(b[0].translate(_SWAP) + b[: n - 1], "flip-first-letter")]
     return _finish(Player.ALICE, ForceGoal.WIN, bob, attempts, False, guaranteed=True)
 
 
@@ -217,7 +207,7 @@ def _force_infinite(
     if opponent.is_alternating():
         if n <= longest_exception:
             return ForceResult(ForceStatus.IMPOSSIBLE, "short-alternating-exception")
-        flipped = opponent.at(1).value == "T"
+        _, flipped = _normalize(opponent)
         pad = n - len(block)
         attempts = [
             (block + "T" * pad, "alternating-block-cycle"),
@@ -228,7 +218,7 @@ def _force_infinite(
         )
     k = opponent.first_double()
     doubled = opponent.text[k - 1]
-    attempts = [(_comp(doubled) * n, "all-opposite-letter")]
+    attempts = [(doubled.translate(_SWAP) * n, "all-opposite-letter")]
     return _finish(
         role, ForceGoal.INFINITE_GAME, opponent, attempts, False, guaranteed=True
     )
@@ -252,11 +242,11 @@ def alice_force_loss(bob: TossString, cap: int = DEFAULT_SEARCH_CAP) -> ForceRes
     n = bob.length
     if n % 2 == 1 and bob.is_constant():
         return ForceResult(ForceStatus.IMPOSSIBLE, "odd-length-constant-opponent")
-    b, flipped = _normalize(bob)
-    norm = TossString.from_text(b)
+    norm, flipped = _normalize(bob)
+    b = norm.text
     attempts: list[tuple[str, str]] = []
     if n % 2 == 0:
-        attempts.append((b[: n - 1] + _comp(b[n - 1]), "copy-flip-last"))
+        attempts.append((b[: n - 1] + b[n - 1].translate(_SWAP), "copy-flip-last"))
     if b.startswith("HT"):
         if norm.is_alternating():
             attempts.append(("T" * n, "all-opposite-letter"))
@@ -292,10 +282,11 @@ def bob_force_loss(alice: TossString, cap: int = DEFAULT_SEARCH_CAP) -> ForceRes
     n = alice.length
     if n % 2 == 0 and alice.is_constant():
         return ForceResult(ForceStatus.IMPOSSIBLE, "even-length-constant-opponent")
-    a, flipped = _normalize(alice)
+    norm, flipped = _normalize(alice)
+    a = norm.text
     attempts: list[tuple[str, str]] = []
     if n % 2 == 1:
-        attempts.append((a[: n - 1] + _comp(a[n - 1]), "copy-flip-last"))
+        attempts.append((a[: n - 1] + a[n - 1].translate(_SWAP), "copy-flip-last"))
     if alice.leading_run() % 2 == 1:
         for pad in "TH":
             attempts.append((a[1:] + pad, "shift-after-odd-run"))

@@ -251,6 +251,42 @@ class TestEnumerate:
         code, _, _ = run_cli(capsys, "enumerate", "--n", bad)
         assert code == 2
 
+    def test_lengths_past_the_word_size_are_usage_errors(self, capsys):
+        code, _, err = run_cli(capsys, "enumerate", "--n", "1..100000000000")
+        assert code == 2
+        assert "at most 63" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "what, sweep",
+        [
+            ("census", "census"),
+            ("longest", "longest_finite"),
+            ("noloss", "no_loss_strings"),
+        ],
+    )
+    def test_cap_is_checked_before_the_first_sweep(
+        self, capsys, monkeypatch, what, sweep
+    ):
+        swept = []
+        monkeypatch.setattr(enumeration, sweep, lambda n, **kw: swept.append(n))
+        monkeypatch.setenv("NOFLIP_SWEEP_CAP", "3")
+        code, _, err = run_cli(capsys, "enumerate", "--n", "2..4", "--what", what)
+        assert code == 2
+        assert "cap 3" in err
+        assert swept == []
+
+    def test_raised_cap_does_not_admit_lengths_past_the_word_size(
+        self, capsys, monkeypatch
+    ):
+        swept = []
+        monkeypatch.setattr(enumeration, "census", lambda n, **kw: swept.append(n))
+        monkeypatch.setenv("NOFLIP_SWEEP_CAP", "100")
+        code, _, err = run_cli(capsys, "enumerate", "--n", "64")
+        assert code == 2
+        assert "at most 63" in err
+        assert swept == []
+
 
 class TestVerify:
     def test_single_suite_ok(self, capsys):
@@ -273,6 +309,17 @@ class TestVerify:
         assert doc == {
             "suite": "symmetry", "n": 2, "checks": 12, "violations": [], "ok": True,
         }
+
+    def test_cap_is_checked_before_the_first_suite(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(
+            enumeration, "verify_suite", lambda n, suite, **kw: ran.append(n)
+        )
+        monkeypatch.setenv("NOFLIP_SWEEP_CAP", "3")
+        code, _, err = run_cli(capsys, "verify", "--n", "2..4")
+        assert code == 2
+        assert "cap 3" in err
+        assert ran == []
 
     def test_violations_set_the_exit_code(self, capsys, monkeypatch):
         def broken(n, suite, *, cap=enumeration.DEFAULT_SWEEP_CAP):

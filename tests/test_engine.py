@@ -4,10 +4,14 @@ values."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import noflip
 from noflip.engine import (
     GameState,
     Outcome,
@@ -334,6 +338,26 @@ class TestPlayoutInvariants:
                 assert outcome.entry + outcome.period <= bound
             else:
                 assert outcome.tosses <= bound
+
+    def test_bound_check_survives_optimized_mode(self):
+        # python -O strips assert statements, so the cross-check against the
+        # counting bound must raise on its own.  A bound of 0 fails every game.
+        script = (
+            "import noflip.engine as e\n"
+            "e.finite_toss_bound = lambda n: 0\n"
+            "e.play(e.TossString.from_text('HT'), e.TossString.from_text('TH'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(noflip.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "RuntimeError" in proc.stderr
+        assert "toss bound 0" in proc.stderr
 
     def test_forbidden_triplets_never_occur(self):
         for _, _, (outcome_, trace) in self.outcomes_small():

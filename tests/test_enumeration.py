@@ -1,8 +1,8 @@
 import pytest
 
+from noflip import enumeration
 from noflip import (
     OutcomeKind,
-    Player,
     TossString,
     finite_toss_bound,
     play,
@@ -96,6 +96,35 @@ class TestCensus:
         with pytest.raises(ValueError):
             census(3, workers=0)
 
+    def test_rejects_lengths_past_the_word_size_before_sweeping(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(enumeration, "_run_chunks", no_sweep)
+        with pytest.raises(ValueError, match="1..63"):
+            census(64, cap=100)
+
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        opened = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+        assert census(4, workers=50) == census(4)
+        assert opened == [2]
+
 
 class TestLongestFinite:
     @pytest.mark.parametrize("n", sorted(LONGEST_TABLE))
@@ -152,10 +181,6 @@ class TestNoLossStrings:
 
     def test_parallel_matches_sequential(self):
         assert no_loss_strings(6, workers=3) == no_loss_strings(6)
-
-    def test_only_second_player_supported(self):
-        with pytest.raises(ValueError, match="role"):
-            no_loss_strings(4, Player.ALICE)
 
 
 class TestVerifySuites:

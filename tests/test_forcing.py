@@ -8,6 +8,7 @@ import pytest
 
 from noflip.engine import OutcomeKind, Player, TossString, play
 from noflip.forcing import (
+    _GOAL_KINDS,
     ForceGoal,
     ForceResult,
     ForceStatus,
@@ -35,8 +36,6 @@ def all_strings(n: int):
 
 def exists_forcer(role: Player, goal: ForceGoal, opponent: TossString) -> bool:
     """Brute force: does any candidate string achieve the goal?"""
-    from noflip.forcing import _GOAL_KINDS
-
     wanted = _GOAL_KINDS[role, goal]
     for candidate in all_strings(opponent.length):
         if candidate == opponent:
@@ -315,6 +314,45 @@ class TestComplementCovariance:
                     assert mirrored.method == direct.method
                     if direct.status is FOUND:
                         assert mirrored.constructed == direct.constructed.complement()
+
+
+class TestSearchOrder:
+    """The exhaustive search answers with the first candidate, scanned in
+    H < T order in the frame where the opponent starts with H, that
+    reaches the goal."""
+
+    SWAP = str.maketrans("HT", "TH")
+
+    def first_by_scan(self, role: Player, opponent: TossString):
+        wanted = _GOAL_KINDS[role, ForceGoal.LOSS]
+        flipped = opponent.text.startswith("T")
+        for candidate in all_strings(opponent.length):
+            if flipped:
+                candidate = ts(candidate.text.translate(self.SWAP))
+            if candidate == opponent:
+                continue
+            if role is Player.ALICE:
+                outcome = play(candidate, opponent)[0]
+            else:
+                outcome = play(opponent, candidate)[0]
+            if outcome.kind is wanted:
+                return candidate
+        return None
+
+    def test_search_answers_with_the_first_candidate_in_scan_order(self):
+        ops = ((alice_force_loss, Player.ALICE), (bob_force_loss, Player.BOB))
+        searched = found = 0
+        for n in range(1, 9):
+            for opponent in all_strings(n):
+                for op, role in ops:
+                    result = op(opponent)
+                    if result.method != "exhaustive-search":
+                        continue
+                    searched += 1
+                    found += result.status is FOUND
+                    expected = self.first_by_scan(role, opponent)
+                    assert result.constructed == expected, (op.__name__, opponent)
+        assert found and searched > found
 
 
 class TestForceDispatch:
