@@ -29,13 +29,6 @@ EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-_GOALS = {
-    "win": forcing.ForceGoal.WIN,
-    "loss": forcing.ForceGoal.LOSS,
-    "infinite": forcing.ForceGoal.INFINITE_GAME,
-}
-
-
 def _lengths(raw: str) -> list[int]:
     """Parse ``4`` or an inclusive range ``2..8``."""
     first_text, sep, last_text = raw.partition("..")
@@ -69,6 +62,14 @@ def _thread_count(raw: str) -> int:
     return count
 
 
+def _search_cap(raw: str) -> int:
+    if not raw.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"search cap must be 0 (rules only) or a positive number, got {raw!r}"
+        )
+    return int(raw)
+
+
 def _sig15(x: float) -> float:
     """Round to 15 significant digits so JSON output is reproducible."""
     return float(f"{x:.15g}")
@@ -84,8 +85,9 @@ def _outcome_doc(outcome: Outcome) -> dict:
     return {"kind": outcome.kind.value, "tosses": outcome.tosses}
 
 
-def _emit(doc) -> None:
-    print(json.dumps(doc))
+def _emit(docs: list) -> None:
+    """One JSON document: the only one, or the list of them."""
+    print(json.dumps(docs[0] if len(docs) == 1 else docs))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -107,7 +109,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 {"rule": p.rule, "kind": p.kind.value, "tosses": p.tosses}
                 for p in predictions
             ]
-        _emit(doc)
+        _emit([doc])
         return EXIT_OK
     print(outcome.describe())
     print(f"trace: {trace.text}")
@@ -131,22 +133,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_force(args: argparse.Namespace) -> int:
     role = Player.ALICE if args.role == "alice" else Player.BOB
     opponent = parse_toss_string(args.opponent)
-    result = forcing.force(role, _GOALS[args.goal], opponent, cap=args.search_cap)
+    goal = forcing.ForceGoal(args.goal)
+    result = forcing.force(role, goal, opponent, cap=args.search_cap)
     if args.format == "json":
-        _emit(
-            {
-                "status": result.status.value,
-                "method": result.method,
-                "constructed": (
-                    result.constructed.text if result.constructed else None
-                ),
-                "outcome": (
-                    _outcome_doc(result.verified_outcome)
-                    if result.verified_outcome
-                    else None
-                ),
-            }
-        )
+        constructed, outcome = result.constructed, result.verified_outcome
+        doc = {
+            "status": result.status.value,
+            "method": result.method,
+            "constructed": constructed.text if constructed else None,
+            "outcome": _outcome_doc(outcome) if outcome else None,
+        }
+        _emit([doc])
     elif result.status is forcing.ForceStatus.FOUND:
         print(f"found: {result.constructed.text} via {result.method}")
         print(f"verified: {result.verified_outcome.describe()}")
@@ -185,8 +182,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             for c in rows:
                 print(f"{c.n},{c.total},{c.bob_wins},{c.alice_wins},{c.infinite}")
         elif args.format == "json":
-            docs = [_census_doc(c) for c in rows]
-            _emit(docs[0] if len(docs) == 1 else docs)
+            _emit([_census_doc(c) for c in rows])
         else:
             for c in rows:
                 print(
@@ -208,7 +204,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 }
                 for s in stats
             ]
-            _emit(docs[0] if len(docs) == 1 else docs)
+            _emit(docs)
             return EXIT_OK
         for s in stats:
             print(f"n={s.n}: {s.max_finite_tosses}")
@@ -223,7 +219,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     ]
     if args.format == "json":
         docs = [{"n": n, "strings": [s.text for s in found]} for n, found in results]
-        _emit(docs[0] if len(docs) == 1 else docs)
+        _emit(docs)
         return EXIT_OK
     for n, found in results:
         print(f"n={n}: " + (", ".join(s.text for s in found) or "(none)"))
@@ -252,7 +248,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             }
             for r in reports
         ]
-        _emit(docs[0] if len(docs) == 1 else docs)
+        _emit(docs)
     else:
         for r in reports:
             verdict = "ok" if r.ok else "FAILED"
@@ -284,11 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     frc = sub.add_parser("force", help="construct a string guaranteeing an outcome")
     frc.add_argument("--role", choices=("alice", "bob"), required=True)
-    frc.add_argument("--goal", choices=sorted(_GOALS), required=True)
+    frc.add_argument(
+        "--goal", choices=sorted(g.value for g in forcing.ForceGoal), required=True
+    )
     frc.add_argument("--opponent", required=True, metavar="STRING")
     frc.add_argument(
         "--search-cap",
-        type=int,
+        type=_search_cap,
         default=forcing.DEFAULT_SEARCH_CAP,
         metavar="N",
         help="longest length still searched exhaustively when no rule applies",

@@ -41,8 +41,11 @@ DEFAULT_SWEEP_CAP = 14
 SWEEP_CAP_ENV = "NOFLIP_SWEEP_CAP"
 
 _ALICE_WIN, _BOB_WIN, _NO_WIN = 0, 1, 2
-
-VERIFY_SUITES = ("bound", "predicates", "forcing", "symmetry")
+_RESULT_CODES = {
+    OutcomeKind.ALICE_WINS: _ALICE_WIN,
+    OutcomeKind.BOB_WINS: _BOB_WIN,
+    OutcomeKind.INFINITE: _NO_WIN,
+}
 
 
 def _check_sweep_args(n: int, cap: int, workers: int) -> None:
@@ -201,26 +204,13 @@ def longest_finite(
 
 
 def _no_loss_chunk(args: tuple[int, int, int]) -> list[int]:
+    """Non-constant codes in the range against which Bob cannot force a loss."""
     n, lo, hi = args
-    tables = _sweep_tables(n)
-    bound = finite_toss_bound(n)
-    constant_h = 0
-    kept: list[int] = []
-    for ai in range(lo, hi):
-        if ai == constant_h:
-            continue
-        ca, ra = tables[ai]
-        vulnerable = False
-        for bi, (cb, rb) in enumerate(tables):
-            if bi == ai:
-                continue
-            result, _ = _playout_code(ca, ra, cb, rb, n, bound)
-            if result == _ALICE_WIN:
-                vulnerable = True
-                break
-        if not vulnerable:
-            kept.append(ai)
-    return kept
+    return [
+        code
+        for code in range(max(lo, 1), hi)
+        if not _exists_forcer(Player.BOB, forcing.ForceGoal.LOSS, TossString(n, code))
+    ]
 
 
 def no_loss_strings(
@@ -284,17 +274,15 @@ def _bound_suite(n: int) -> tuple[int, list[str]]:
         ca, ra = tables[alice.bits]
         cb, rb = tables[bob.bits]
         cutoff_result, cutoff_tosses = _playout_code(ca, ra, cb, rb, n, bound)
+        if cutoff_result != _RESULT_CODES[outcome.kind] or (
+            not outcome.is_infinite and cutoff_tosses != outcome.tosses
+        ):
+            violations.append(f"{pair}: classifiers disagree (repeat vs cutoff)")
         if outcome.is_infinite:
-            if cutoff_result != _NO_WIN:
-                violations.append(f"{pair}: classifiers disagree (repeat vs cutoff)")
             if outcome.entry + outcome.period > bound:
                 violations.append(f"{pair}: repeat found after the counting bound")
-        else:
-            win = _ALICE_WIN if outcome.kind is OutcomeKind.ALICE_WINS else _BOB_WIN
-            if cutoff_result != win or cutoff_tosses != outcome.tosses:
-                violations.append(f"{pair}: classifiers disagree (repeat vs cutoff)")
-            if outcome.tosses > bound:
-                violations.append(f"{pair}: finite game beyond the counting bound")
+        elif outcome.tosses > bound:
+            violations.append(f"{pair}: finite game beyond the counting bound")
         for before, after in zip(trace.states, trace.states[1:]):
             moved = after.a - before.a if before.turn is Player.ALICE else after.b - before.b
             if moved != 1:
@@ -343,18 +331,9 @@ def _forcing_suite(n: int) -> tuple[int, list[str]]:
     bounds), and IMPOSSIBLE answers must survive a brute-force scan."""
     checks = 0
     violations: list[str] = []
-    ops = [
-        (forcing.bob_force_win, Player.BOB, forcing.ForceGoal.WIN),
-        (forcing.alice_force_win, Player.ALICE, forcing.ForceGoal.WIN),
-        (forcing.bob_force_infinite, Player.BOB, forcing.ForceGoal.INFINITE_GAME),
-        (forcing.alice_force_infinite, Player.ALICE, forcing.ForceGoal.INFINITE_GAME),
-        (forcing.alice_force_loss, Player.ALICE, forcing.ForceGoal.LOSS),
-        (forcing.bob_force_loss, Player.BOB, forcing.ForceGoal.LOSS),
-    ]
-    wanted = forcing._GOAL_KINDS
     for code in range(1 << n):
         opponent = TossString(n, code)
-        for op, role, goal in ops:
+        for (role, goal), op in forcing._FORCERS.items():
             checks += 1
             label = f"{op.__name__}({opponent.text})"
             try:
@@ -366,7 +345,7 @@ def _forcing_suite(n: int) -> tuple[int, list[str]]:
                 violations.append(f"{label}: unknown below the search cap")
             elif result.status is forcing.ForceStatus.FOUND:
                 outcome = result.verified_outcome
-                if outcome.kind is not wanted[role, goal]:
+                if outcome.kind is not forcing._GOAL_KINDS[role, goal]:
                     violations.append(f"{label}: outcome {outcome.kind.value}")
                 if goal is forcing.ForceGoal.WIN:
                     limit = n if role is Player.ALICE else n + 1
@@ -380,16 +359,14 @@ def _forcing_suite(n: int) -> tuple[int, list[str]]:
 def _exists_forcer(
     role: Player, goal: forcing.ForceGoal, opponent: TossString
 ) -> bool:
+    """Whether some string reaches the goal against the opponent, judged
+    by the toss cutoff (the independent oracle of ``forcing._search``)."""
     n = opponent.length
     tables = _sweep_tables(n)
     bound = finite_toss_bound(n)
     opp = opponent.bits
     co, ro = tables[opp]
-    wanted = {
-        forcing.ForceGoal.WIN: _BOB_WIN if role is Player.BOB else _ALICE_WIN,
-        forcing.ForceGoal.LOSS: _ALICE_WIN if role is Player.BOB else _BOB_WIN,
-        forcing.ForceGoal.INFINITE_GAME: _NO_WIN,
-    }[goal]
+    wanted = _RESULT_CODES[forcing._GOAL_KINDS[role, goal]]
     for code, (cc, rc) in enumerate(tables):
         if code == opp:
             continue
@@ -418,28 +395,31 @@ def _symmetry_suite(n: int) -> tuple[int, list[str]]:
     return checks, violations
 
 
+_SUITES = {
+    "bound": _bound_suite,
+    "predicates": _predicates_suite,
+    "forcing": _forcing_suite,
+    "symmetry": _symmetry_suite,
+}
+VERIFY_SUITES = tuple(_SUITES)
+
+
 def verify_suite(
     n: int, suite: str, *, cap: int = DEFAULT_SWEEP_CAP
 ) -> VerifyReport:
     """Run one verification sweep; see :data:`VERIFY_SUITES` for names."""
     _check_sweep_args(n, cap, 1)
-    runners = {
-        "bound": _bound_suite,
-        "predicates": _predicates_suite,
-        "forcing": _forcing_suite,
-        "symmetry": _symmetry_suite,
-    }
-    if suite not in runners:
+    if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {VERIFY_SUITES}")
-    checks, violations = runners[suite](n)
+    checks, violations = _SUITES[suite](n)
     return VerifyReport(suite, n, checks, tuple(violations))
 
 
-def sweep_cap_from_env(default: int = DEFAULT_SWEEP_CAP) -> int:
+def sweep_cap_from_env() -> int:
     """The sweep cap, honoring the NOFLIP_SWEEP_CAP override."""
     raw = os.environ.get(SWEEP_CAP_ENV)
     if raw is None:
-        return default
+        return DEFAULT_SWEEP_CAP
     try:
         cap = int(raw)
     except ValueError as exc:

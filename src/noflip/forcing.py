@@ -23,8 +23,10 @@ than the search cap that fall off every shape rule come back as
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .engine import Outcome, OutcomeKind, Player, Toss, TossString, _SWAP, play
 
@@ -69,25 +71,11 @@ _GOAL_KINDS = {
 }
 
 
-def _playout(role: Player, opponent: TossString, own: TossString) -> Outcome:
-    if role is Player.ALICE:
-        return play(own, opponent)[0]
-    return play(opponent, own)[0]
-
-
-def _attempt(
-    role: Player,
-    goal: ForceGoal,
-    opponent: TossString,
-    candidate: TossString,
-    method: str,
-) -> ForceResult | None:
-    if candidate == opponent:
-        return None
-    outcome = _playout(role, opponent, candidate)
-    if outcome.kind is not _GOAL_KINDS[role, goal]:
-        return None
-    return ForceResult(ForceStatus.FOUND, method, candidate, outcome)
+def _normalize(opponent: TossString) -> tuple[TossString, int]:
+    """The opponent in the frame where it starts with H, plus the XOR
+    mask that maps string codes into and out of that frame."""
+    mask = (1 << opponent.length) - 1 if opponent.at(1) is Toss.T else 0
+    return TossString(opponent.length, opponent.bits ^ mask), mask
 
 
 def _finish(
@@ -95,49 +83,46 @@ def _finish(
     goal: ForceGoal,
     opponent: TossString,
     attempts: list[tuple[str, str]],
-    flipped: bool,
-    *,
-    guaranteed: bool,
     cap: int = DEFAULT_SEARCH_CAP,
 ) -> ForceResult:
-    """Try each (candidate text, method) in order, mapping back out of
-    the normalized frame, and verify against the real opponent."""
-    for text, method in attempts:
-        candidate = TossString.from_text(text.translate(_SWAP) if flipped else text)
-        result = _attempt(role, goal, opponent, candidate, method)
-        if result is not None:
-            return result
-    if guaranteed:
+    """Answer with the first rule candidate, a (text, method) pair written
+    in the H-first frame, that reaches the goal against the real opponent.
+    Only the loss rules leave gaps; those fall to the exhaustive search."""
+    n = opponent.length
+    rules = [(TossString.from_text(text).bits, method) for text, method in attempts]
+    codes = range(1 << n) if goal is ForceGoal.LOSS and n <= cap else ()
+    search = ((code, "exhaustive-search") for code in codes)
+    found = _search(role, goal, opponent, chain(rules, search))
+    if found is not None:
+        return found
+    if goal is not ForceGoal.LOSS:
         raise RuntimeError(
             f"verified construction failed for {role.value}/{goal.value} "
             f"against {opponent.text}; this is a bug"
         )
-    return _search(role, goal, opponent, cap)
+    status = ForceStatus.UNKNOWN if n > cap else ForceStatus.IMPOSSIBLE
+    return ForceResult(status, "exhaustive-search")
 
 
 def _search(
-    role: Player, goal: ForceGoal, opponent: TossString, cap: int
-) -> ForceResult:
-    """Deterministic fallback: scan all candidates in lexicographic
-    order (computed in the normalized frame for complement covariance)."""
+    role: Player,
+    goal: ForceGoal,
+    opponent: TossString,
+    candidates: Iterable[tuple[int, str]],
+) -> ForceResult | None:
+    """Play each (H-first code, method) candidate, mapped back to the
+    opponent's frame, in order; the first that reaches the goal wins."""
     n = opponent.length
-    if n > cap:
-        return ForceResult(ForceStatus.UNKNOWN, "exhaustive-search")
-    mask = (1 << n) - 1 if _normalize(opponent)[1] else 0
-    for code in range(1 << n):
-        candidate = TossString(n, code ^ mask)
-        result = _attempt(role, goal, opponent, candidate, "exhaustive-search")
-        if result is not None:
-            return result
-    return ForceResult(ForceStatus.IMPOSSIBLE, "exhaustive-search")
-
-
-def _normalize(opponent: TossString) -> tuple[TossString, bool]:
-    """The opponent mapped to the frame where it starts with H, plus
-    whether that took complementing it."""
-    if opponent.at(1) is Toss.T:
-        return opponent.complement(), True
-    return opponent, False
+    wanted = _GOAL_KINDS[role, goal]
+    _, mask = _normalize(opponent)
+    for code, method in candidates:
+        own = TossString(n, code ^ mask)
+        if own == opponent:
+            continue
+        outcome = (play(own, opponent) if role is Player.ALICE else play(opponent, own))[0]
+        if outcome.kind is wanted:
+            return ForceResult(ForceStatus.FOUND, method, own, outcome)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -156,23 +141,22 @@ def bob_force_win(alice: TossString) -> ForceResult:
     n = alice.length
     if n == 1:
         return ForceResult(ForceStatus.IMPOSSIBLE, "single-letter-alice-always-wins")
-    a = alice.text
-    if alice.is_alternating():
-        attempts = [(a[0] + a[0] + a[1 : n - 1], "double-first-letter")]
+    norm, _ = _normalize(alice)
+    a = norm.text
+    if norm.is_alternating():
+        attempts = [("HH" + a[1 : n - 1], "double-first-letter")]
     else:
-        k = alice.first_double()
-        flip = a[k - 1].translate(_SWAP)
+        flip = a[norm.first_double() - 1].translate(_SWAP)
         attempts = [(flip + a[: n - 1], "flip-before-first-double")]
-    return _finish(Player.BOB, ForceGoal.WIN, alice, attempts, False, guaranteed=True)
+    return _finish(Player.BOB, ForceGoal.WIN, alice, attempts)
 
 
 def alice_force_win(bob: TossString) -> ForceResult:
     """Alice picks a string that beats the given Bob string: flip his
     first letter and copy his prefix behind it.  She wins on toss n."""
-    n = bob.length
-    b = bob.text
-    attempts = [(b[0].translate(_SWAP) + b[: n - 1], "flip-first-letter")]
-    return _finish(Player.ALICE, ForceGoal.WIN, bob, attempts, False, guaranteed=True)
+    norm, _ = _normalize(bob)
+    attempts = [("T" + norm.text[: bob.length - 1], "flip-first-letter")]
+    return _finish(Player.ALICE, ForceGoal.WIN, bob, attempts)
 
 
 # ---------------------------------------------------------------------------
@@ -204,24 +188,19 @@ def _force_infinite(
     role: Player, opponent: TossString, longest_exception: int, block: str
 ) -> ForceResult:
     n = opponent.length
-    if opponent.is_alternating():
+    norm, _ = _normalize(opponent)
+    if norm.is_alternating():
         if n <= longest_exception:
             return ForceResult(ForceStatus.IMPOSSIBLE, "short-alternating-exception")
-        _, flipped = _normalize(opponent)
         pad = n - len(block)
         attempts = [
             (block + "T" * pad, "alternating-block-cycle"),
             (block + "H" * pad, "alternating-block-cycle"),
         ]
-        return _finish(
-            role, ForceGoal.INFINITE_GAME, opponent, attempts, flipped, guaranteed=True
-        )
-    k = opponent.first_double()
-    doubled = opponent.text[k - 1]
-    attempts = [(doubled.translate(_SWAP) * n, "all-opposite-letter")]
-    return _finish(
-        role, ForceGoal.INFINITE_GAME, opponent, attempts, False, guaranteed=True
-    )
+    else:
+        doubled = norm.text[norm.first_double() - 1]
+        attempts = [(doubled.translate(_SWAP) * n, "all-opposite-letter")]
+    return _finish(role, ForceGoal.INFINITE_GAME, opponent, attempts)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +221,7 @@ def alice_force_loss(bob: TossString, cap: int = DEFAULT_SEARCH_CAP) -> ForceRes
     n = bob.length
     if n % 2 == 1 and bob.is_constant():
         return ForceResult(ForceStatus.IMPOSSIBLE, "odd-length-constant-opponent")
-    norm, flipped = _normalize(bob)
+    norm, _ = _normalize(bob)
     b = norm.text
     attempts: list[tuple[str, str]] = []
     if n % 2 == 0:
@@ -265,9 +244,7 @@ def alice_force_loss(bob: TossString, cap: int = DEFAULT_SEARCH_CAP) -> ForceRes
     elif n % 2 == 1 and run + 2 <= n and b[run] == "T" and b[run + 1] == "T":
         for pad in "TH":
             attempts.append((b[1:] + pad, "shift-after-odd-run"))
-    return _finish(
-        Player.ALICE, ForceGoal.LOSS, bob, attempts, flipped, guaranteed=False, cap=cap
-    )
+    return _finish(Player.ALICE, ForceGoal.LOSS, bob, attempts, cap)
 
 
 def bob_force_loss(alice: TossString, cap: int = DEFAULT_SEARCH_CAP) -> ForceResult:
@@ -282,17 +259,27 @@ def bob_force_loss(alice: TossString, cap: int = DEFAULT_SEARCH_CAP) -> ForceRes
     n = alice.length
     if n % 2 == 0 and alice.is_constant():
         return ForceResult(ForceStatus.IMPOSSIBLE, "even-length-constant-opponent")
-    norm, flipped = _normalize(alice)
+    norm, _ = _normalize(alice)
     a = norm.text
     attempts: list[tuple[str, str]] = []
     if n % 2 == 1:
         attempts.append((a[: n - 1] + a[n - 1].translate(_SWAP), "copy-flip-last"))
-    if alice.leading_run() % 2 == 1:
+    if norm.leading_run() % 2 == 1:
         for pad in "TH":
             attempts.append((a[1:] + pad, "shift-after-odd-run"))
-    return _finish(
-        Player.BOB, ForceGoal.LOSS, alice, attempts, flipped, guaranteed=False, cap=cap
-    )
+    return _finish(Player.BOB, ForceGoal.LOSS, alice, attempts, cap)
+
+
+#: The operation behind each (role, goal), in the order the ``forcing``
+#: verify suite runs them.
+_FORCERS = {
+    (Player.BOB, ForceGoal.WIN): bob_force_win,
+    (Player.ALICE, ForceGoal.WIN): alice_force_win,
+    (Player.BOB, ForceGoal.INFINITE_GAME): bob_force_infinite,
+    (Player.ALICE, ForceGoal.INFINITE_GAME): alice_force_infinite,
+    (Player.ALICE, ForceGoal.LOSS): alice_force_loss,
+    (Player.BOB, ForceGoal.LOSS): bob_force_loss,
+}
 
 
 def force(
@@ -302,14 +289,7 @@ def force(
     cap: int = DEFAULT_SEARCH_CAP,
 ) -> ForceResult:
     """Dispatch to the role/goal-specific operation."""
-    if role is Player.BOB:
-        if goal is ForceGoal.WIN:
-            return bob_force_win(opponent)
-        if goal is ForceGoal.INFINITE_GAME:
-            return bob_force_infinite(opponent)
-        return bob_force_loss(opponent, cap)
-    if goal is ForceGoal.WIN:
-        return alice_force_win(opponent)
-    if goal is ForceGoal.INFINITE_GAME:
-        return alice_force_infinite(opponent)
-    return alice_force_loss(opponent, cap)
+    operation = _FORCERS[role, goal]
+    if goal is ForceGoal.LOSS:
+        return operation(opponent, cap)
+    return operation(opponent)

@@ -1,9 +1,14 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from noflip import cli, enumeration
+from noflip.engine import MAX_LENGTH
 from noflip.enumeration import VerifyReport
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +164,69 @@ class TestForce:
         )
         assert code == 0
         assert out.splitlines()[0] == "found: HHHTTHHTTT via exhaustive-search"
+        code, out, _ = run_cli(
+            capsys, "force", "--role", "bob", "--goal", "loss",
+            "--opponent", "HHTTHHTTHH", "--search-cap", "0",
+        )
+        assert code == 3
+        assert "unknown" in out
+        # 0 still applies the shape rules
+        code, out, _ = run_cli(
+            capsys, "force", "--role", "bob", "--goal", "loss",
+            "--opponent", "HTH", "--search-cap", "0",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "found: HTT via copy-flip-last"
+
+    @pytest.mark.parametrize("bad", ["-5", "-1", "five"])
+    def test_bad_search_caps_are_usage_errors(self, capsys, bad):
+        code, out, err = run_cli(
+            capsys, "force", "--role", "bob", "--goal", "loss",
+            "--opponent", "HHTTHHTTHH", "--search-cap", bad,
+        )
+        assert code == 2
+        assert out == ""
+        assert "search cap must be 0" in err
+        assert "Traceback" not in err
+
+
+class TestLengthEdges:
+    """Strings of MAX_LENGTH letters play and force; one letter more is a
+    usage error, not a traceback."""
+
+    LONGEST = ("HT" * MAX_LENGTH)[:MAX_LENGTH]
+    TOO_LONG = "H" * (MAX_LENGTH + 1)
+
+    def test_simulate_at_the_longest_length(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--alice", self.LONGEST, "--bob", "T" * MAX_LENGTH
+        )
+        assert code == 0
+        assert out.splitlines()[0] == f"AliceWins at toss {MAX_LENGTH}"
+
+    def test_force_at_the_longest_length(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "force", "--role", "bob", "--goal", "win",
+            "--opponent", self.LONGEST,
+        )
+        assert code == 0
+        expected = "HH" + self.LONGEST[1 : MAX_LENGTH - 1]
+        assert out.splitlines()[0] == f"found: {expected} via double-first-letter"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--alice", TOO_LONG, "--bob", "T" * (MAX_LENGTH + 1)),
+            ("force", "--role", "bob", "--goal", "win", "--opponent", TOO_LONG),
+        ],
+        ids=["simulate", "force"],
+    )
+    def test_one_letter_more_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"longer than {MAX_LENGTH} tosses" in err
+        assert "Traceback" not in err
 
 
 class TestEnumerate:
@@ -344,3 +412,32 @@ class TestTopLevel:
     def test_unknown_command_is_usage(self, capsys):
         assert cli.main(["conquer"]) == 2
         capsys.readouterr()
+
+
+def readme_examples() -> list[tuple[list[str], str]]:
+    """(argv, stdout) for each ``$ noflip ...`` line in the README's
+    command-line block, the output being the lines below it."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    examples: list[tuple[list[str], list[str]]] = []
+    for line in block.splitlines():
+        if line.startswith("$ noflip "):
+            examples.append((shlex.split(line)[2:], []))
+        elif examples:
+            examples[-1][1].append(line)
+    return [(argv, "\n".join(lines).strip("\n") + "\n") for argv, lines in examples]
+
+
+def test_readme_shows_every_subcommand():
+    commands = {argv[0] for argv, _ in readme_examples()}
+    assert commands == {"simulate", "force", "enumerate", "verify"}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [pytest.param(argv, out, id=" ".join(argv)) for argv, out in readme_examples()],
+)
+def test_readme_examples_print_what_they_show(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected

@@ -2,8 +2,10 @@ import pytest
 
 from noflip import enumeration
 from noflip import (
+    ForceStatus,
     OutcomeKind,
     TossString,
+    bob_force_loss,
     finite_toss_bound,
     play,
 )
@@ -181,6 +183,18 @@ class TestNoLossStrings:
 
     def test_parallel_matches_sequential(self):
         assert no_loss_strings(6, workers=3) == no_loss_strings(6)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_the_forcing_search(self, n):
+        # A no-loss string is one against which Bob cannot force a loss:
+        # the cutoff sweep must agree with bob_force_loss, which proves
+        # impossibility by playing every candidate with play.
+        expected = [
+            alice
+            for alice in (TossString(n, code) for code in range(1, 1 << (n - 1)))
+            if bob_force_loss(alice).status is ForceStatus.IMPOSSIBLE
+        ]
+        assert no_loss_strings(n) == expected
 
 
 class TestVerifySuites:
