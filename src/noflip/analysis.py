@@ -92,24 +92,14 @@ def predict_by_runs(alice: TossString, bob: TossString) -> Prediction | None:
     return None
 
 
-def _overlap_rules(a: str, b: str, n: int) -> Prediction | None:
-    # One string one step behind the other: Bob spends one toss, then
-    # rides Alice's own prefix home.
-    if n >= 2 and a.startswith("HT") and b.startswith("HH") and b[1:] == a[: n - 1]:
-        return Prediction("one-step-shadow", OutcomeKind.BOB_WINS)
-    # Two steps behind, with the doubled opening absorbed up front.
-    if n >= 4 and a[:2] == "HH" and b[:4] == "HTHH" and b[4:] == a[2 : n - 2]:
-        return Prediction("two-step-shadow", OutcomeKind.BOB_WINS)
-    return None
-
-
 def predict_large_overlap(alice: TossString, bob: TossString) -> Prediction | None:
     """Predictions for strings that overlap on almost every position.
 
     Applies, in order: equal except for the final toss (the parity of n
     hands the winning toss to one player); Bob shadowing Alice one
     position behind; Bob shadowing two positions behind.  The shadow
-    rules also apply under complementing both strings.
+    rules are stated for an Alice string that opens with H and apply to
+    the other half by complementing both strings.
     """
     n = _validate_pair(alice, bob)
     a, b = alice.text, bob.text
@@ -119,10 +109,15 @@ def predict_large_overlap(alice: TossString, bob: TossString) -> Prediction | No
         if n % 2 == 0:
             return Prediction("equal-but-last", OutcomeKind.BOB_WINS, tosses=n)
         return Prediction("equal-but-last", OutcomeKind.ALICE_WINS, tosses=n)
-    for a_view, b_view in ((a, b), (a.translate(_SWAP), b.translate(_SWAP))):
-        fired = _overlap_rules(a_view, b_view, n)
-        if fired is not None:
-            return fired
+    if a[0] == "T":
+        a, b = a.translate(_SWAP), b.translate(_SWAP)
+    # One string one step behind the other: Bob spends one toss, then
+    # rides Alice's own prefix home.
+    if n >= 2 and a.startswith("HT") and b.startswith("HH") and b[1:] == a[: n - 1]:
+        return Prediction("one-step-shadow", OutcomeKind.BOB_WINS)
+    # Two steps behind, with the doubled opening absorbed up front.
+    if n >= 4 and a[:2] == "HH" and b[:4] == "HTHH" and b[4:] == a[2 : n - 2]:
+        return Prediction("two-step-shadow", OutcomeKind.BOB_WINS)
     return None
 
 

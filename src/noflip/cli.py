@@ -9,8 +9,9 @@ default; ``--format json`` emits one machine-readable document, and
 
 Exit codes: 0 on success, 1 when a verification sweep reports
 violations, 2 on usage errors (including sweeps past the length cap),
-3 when a search gives up below its cap.  Output for a given invocation
-is byte-identical across runs and thread counts.
+3 when a search gives up below its cap, 130 when interrupted (Ctrl-C),
+141 when standard output closes early (as in ``| head``).  Output for
+a given invocation is byte-identical across runs and thread counts.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 def _lengths(raw: str) -> list[int]:
     """Parse ``4`` or an inclusive range ``2..8``."""
@@ -329,10 +332,22 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"noflip: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("noflip: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the flush at
+        # interpreter exit has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -19,9 +19,8 @@ order with H < T.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .engine import (
     MAX_LENGTH,
@@ -90,10 +89,49 @@ def _run_chunks(worker, n: int, total: int, workers: int) -> list:
     spans = _ranges(total, workers)
     if workers == 1 or len(spans) == 1:
         return [worker((n, lo, hi)) for lo, hi in spans]
+    # Imported here: multiprocessing would slow every command's start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     # Spans stay as requested, so the merge order and the output do not
     # depend on how many processes actually run them.
     with ProcessPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
         return list(pool.map(worker, [(n, lo, hi) for lo, hi in spans]))
+
+
+def _sweep_chunk(args: tuple[int, int, int]) -> tuple[list[int], int, list]:
+    """Outcome counts, the longest finite game and its witness code pairs
+    over the pairs whose first string's code lies in one span."""
+    n, lo, hi = args
+    tables = _sweep_tables(n)
+    bound = finite_toss_bound(n)
+    counts = [0, 0, 0]  # indexed by _ALICE_WIN, _BOB_WIN, _NO_WIN
+    best = 0
+    witnesses: list[tuple[int, int]] = []
+    for ai in range(lo, hi):
+        ca, ra = tables[ai]
+        for bi, (cb, rb) in enumerate(tables):
+            if bi == ai:
+                continue
+            result, tosses = _playout_code(ca, ra, cb, rb, n, bound)
+            counts[result] += 1
+            if result == _NO_WIN or tosses < best:
+                continue
+            if tosses > best:
+                best = tosses
+                witnesses = []
+            witnesses.append((ai, bi))
+    return counts, best, witnesses
+
+
+def _sweep(n: int, cap: int, workers: int) -> tuple[list[int], int, list]:
+    """One pass over every ordered pair of distinct strings of length n:
+    outcome counts, the longest finite game and its witness code pairs."""
+    _check_sweep_args(n, cap, workers)
+    chunks = _run_chunks(_sweep_chunk, n, 1 << n, workers)
+    counts = [sum(c[0][result] for c in chunks) for result in range(3)]
+    best = max(c[1] for c in chunks)
+    witnesses = [pair for c in chunks if c[1] == best for pair in c[2]]
+    return counts, best, witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -123,28 +161,11 @@ class OutcomeCensus:
         return self.infinite / self.total
 
 
-def _census_chunk(args: tuple[int, int, int]) -> tuple[int, int, int]:
-    n, lo, hi = args
-    tables = _sweep_tables(n)
-    bound = finite_toss_bound(n)
-    counts = [0, 0, 0]  # indexed by _ALICE_WIN, _BOB_WIN, _NO_WIN
-    for ai in range(lo, hi):
-        ca, ra = tables[ai]
-        for bi, (cb, rb) in enumerate(tables):
-            if bi != ai:
-                counts[_playout_code(ca, ra, cb, rb, n, bound)[0]] += 1
-    return counts[_ALICE_WIN], counts[_BOB_WIN], counts[_NO_WIN]
-
-
 def census(
     n: int, *, cap: int = DEFAULT_SWEEP_CAP, workers: int = 1
 ) -> OutcomeCensus:
     """Count the outcome of every ordered pair of distinct strings."""
-    _check_sweep_args(n, cap, workers)
-    chunks = _run_chunks(_census_chunk, n, 1 << n, workers)
-    alice = sum(c[0] for c in chunks)
-    bob = sum(c[1] for c in chunks)
-    infinite = sum(c[2] for c in chunks)
+    alice, bob, infinite = _sweep(n, cap, workers)[0]
     size = 1 << n
     return OutcomeCensus(n, size * (size - 1), alice, bob, infinite)
 
@@ -162,40 +183,12 @@ class LengthStats:
     argmax_pairs: tuple[tuple[TossString, TossString], ...]
 
 
-def _longest_chunk(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, int]]]:
-    n, lo, hi = args
-    tables = _sweep_tables(n)
-    bound = finite_toss_bound(n)
-    best = 0
-    witnesses: list[tuple[int, int]] = []
-    for ai in range(lo, hi):
-        ca, ra = tables[ai]
-        for bi, (cb, rb) in enumerate(tables):
-            if bi == ai:
-                continue
-            result, tosses = _playout_code(ca, ra, cb, rb, n, bound)
-            if result == _NO_WIN or tosses < best:
-                continue
-            if tosses > best:
-                best = tosses
-                witnesses = []
-            witnesses.append((ai, bi))
-    return best, witnesses
-
-
 def longest_finite(
     n: int, *, cap: int = DEFAULT_SWEEP_CAP, workers: int = 1
 ) -> LengthStats:
     """Longest finite playout over all pairs, with every witness pair."""
-    _check_sweep_args(n, cap, workers)
-    chunks = _run_chunks(_longest_chunk, n, 1 << n, workers)
-    best = max(c[0] for c in chunks)
-    pairs = tuple(
-        (TossString(n, ai), TossString(n, bi))
-        for c in chunks
-        if c[0] == best
-        for ai, bi in c[1]
-    )
+    _, best, witnesses = _sweep(n, cap, workers)
+    pairs = tuple((TossString(n, ai), TossString(n, bi)) for ai, bi in witnesses)
     return LengthStats(n, best, pairs)
 
 
@@ -258,71 +251,66 @@ _FORBIDDEN = {
 }
 
 
-def _bound_suite(n: int) -> tuple[int, list[str]]:
-    """Replay every pair and check the counting bound, agreement of the
-    repeated-state and toss-cutoff classifiers, forbidden states, mover
-    increments, and (for n <= 6) the direct-scan progress oracle."""
+def _pair_suite(check, n: int) -> tuple[int, list[str]]:
+    """Run a per-pair check on every ordered pair, each pair one check;
+    every reason the check yields is a violation labelled with the pair."""
+    violations = [
+        f"{alice.text}/{bob.text}: {reason}"
+        for alice, bob in _pairs(n)
+        for reason in check(alice, bob)
+    ]
+    size = 1 << n
+    return size * (size - 1), violations
+
+
+def _bound_check(alice: TossString, bob: TossString):
+    """The counting bound, agreement of the repeated-state and toss-cutoff
+    classifiers, forbidden states, mover increments, and (for n <= 6) the
+    direct-scan progress oracle."""
+    n = alice.length
     tables = _sweep_tables(n)
     bound = finite_toss_bound(n)
-    check_oracle = n <= 6
-    checks = 0
-    violations: list[str] = []
-    for alice, bob in _pairs(n):
-        checks += 1
-        pair = f"{alice.text}/{bob.text}"
-        outcome, trace = play(alice, bob)
-        ca, ra = tables[alice.bits]
-        cb, rb = tables[bob.bits]
-        cutoff_result, cutoff_tosses = _playout_code(ca, ra, cb, rb, n, bound)
-        if cutoff_result != _RESULT_CODES[outcome.kind] or (
-            not outcome.is_infinite and cutoff_tosses != outcome.tosses
-        ):
-            violations.append(f"{pair}: classifiers disagree (repeat vs cutoff)")
-        if outcome.is_infinite:
-            if outcome.entry + outcome.period > bound:
-                violations.append(f"{pair}: repeat found after the counting bound")
-        elif outcome.tosses > bound:
-            violations.append(f"{pair}: finite game beyond the counting bound")
-        for before, after in zip(trace.states, trace.states[1:]):
-            moved = after.a - before.a if before.turn is Player.ALICE else after.b - before.b
-            if moved != 1:
-                violations.append(f"{pair}: mover progress changed by {moved}")
+    outcome, trace = play(alice, bob)
+    result, tosses = _playout_code(*tables[alice.bits], *tables[bob.bits], n, bound)
+    if result != _RESULT_CODES[outcome.kind] or (
+        not outcome.is_infinite and tosses != outcome.tosses
+    ):
+        yield "classifiers disagree (repeat vs cutoff)"
+    if outcome.is_infinite:
+        if outcome.entry + outcome.period > bound:
+            yield "repeat found after the counting bound"
+    elif outcome.tosses > bound:
+        yield "finite game beyond the counting bound"
+    for before, after in zip(trace.states, trace.states[1:]):
+        moved = after.a - before.a if before.turn is Player.ALICE else after.b - before.b
+        if moved != 1:
+            yield f"mover progress changed by {moved}"
+    for s in trace.states:
+        if (s.a, s.b, s.turn) in _FORBIDDEN:
+            yield f"forbidden state {(s.a, s.b, s.turn.value)}"
+    if n <= 6:
         for s in trace.states:
-            if (s.a, s.b, s.turn) in _FORBIDDEN:
-                violations.append(f"{pair}: forbidden state {(s.a, s.b, s.turn.value)}")
-        if check_oracle:
-            for s in trace.states:
-                output = trace.text[: s.k]
-                if s.a != scan_progress(alice.text, output) or s.b != scan_progress(
-                    bob.text, output
-                ):
-                    violations.append(f"{pair}: automaton disagrees with scan oracle")
-    return checks, violations
+            output = trace.text[: s.k]
+            if s.a != scan_progress(alice.text, output) or s.b != scan_progress(
+                bob.text, output
+            ):
+                yield "automaton disagrees with scan oracle"
 
 
-def _predicates_suite(n: int) -> tuple[int, list[str]]:
+def _predicates_check(alice: TossString, bob: TossString):
     """Every fired prediction must match the real playout, counts included,
     and predictions fired on the same pair must agree with each other."""
-    checks = 0
-    violations: list[str] = []
-    for alice, bob in _pairs(n):
-        checks += 1
-        pair = f"{alice.text}/{bob.text}"
-        fired = all_predictions(alice, bob)
-        if not fired:
-            continue
-        outcome, _ = play(alice, bob)
-        kinds = {p.kind for p in fired}
-        if len(kinds) > 1:
-            violations.append(f"{pair}: predictions disagree with each other")
-        for p in fired:
-            if p.kind is not outcome.kind:
-                violations.append(f"{pair}: {p.rule} predicted {p.kind.value}")
-            elif p.tosses is not None and p.tosses != outcome.tosses:
-                violations.append(
-                    f"{pair}: {p.rule} predicted toss {p.tosses}, got {outcome.tosses}"
-                )
-    return checks, violations
+    fired = all_predictions(alice, bob)
+    if not fired:
+        return
+    outcome, _ = play(alice, bob)
+    if len({p.kind for p in fired}) > 1:
+        yield "predictions disagree with each other"
+    for p in fired:
+        if p.kind is not outcome.kind:
+            yield f"{p.rule} predicted {p.kind.value}"
+        elif p.tosses is not None and p.tosses != outcome.tosses:
+            yield f"{p.rule} predicted toss {p.tosses}, got {outcome.tosses}"
 
 
 def _forcing_suite(n: int) -> tuple[int, list[str]]:
@@ -365,41 +353,31 @@ def _exists_forcer(
     tables = _sweep_tables(n)
     bound = finite_toss_bound(n)
     opp = opponent.bits
-    co, ro = tables[opp]
     wanted = _RESULT_CODES[forcing._GOAL_KINDS[role, goal]]
-    for code, (cc, rc) in enumerate(tables):
+    for code in range(1 << n):
         if code == opp:
             continue
-        if role is Player.BOB:
-            result, _ = _playout_code(co, ro, cc, rc, n, bound)
-        else:
-            result, _ = _playout_code(cc, rc, co, ro, n, bound)
-        if result == wanted:
+        a, b = (opp, code) if role is Player.BOB else (code, opp)
+        if _playout_code(*tables[a], *tables[b], n, bound)[0] == wanted:
             return True
     return False
 
 
-def _symmetry_suite(n: int) -> tuple[int, list[str]]:
+def _symmetry_check(alice: TossString, bob: TossString):
     """Complementing both strings must mirror the playout exactly."""
-    checks = 0
-    violations: list[str] = []
-    for alice, bob in _pairs(n):
-        checks += 1
-        pair = f"{alice.text}/{bob.text}"
-        outcome, trace = play(alice, bob)
-        mirrored, mirrored_trace = play(alice.complement(), bob.complement())
-        if mirrored != outcome:
-            violations.append(f"{pair}: outcome changes under complementation")
-        if mirrored_trace.text != trace.text.translate(_SWAP):
-            violations.append(f"{pair}: trace does not mirror under complementation")
-    return checks, violations
+    outcome, trace = play(alice, bob)
+    mirrored, mirrored_trace = play(alice.complement(), bob.complement())
+    if mirrored != outcome:
+        yield "outcome changes under complementation"
+    if mirrored_trace.text != trace.text.translate(_SWAP):
+        yield "trace does not mirror under complementation"
 
 
 _SUITES = {
-    "bound": _bound_suite,
-    "predicates": _predicates_suite,
+    "bound": partial(_pair_suite, _bound_check),
+    "predicates": partial(_pair_suite, _predicates_check),
     "forcing": _forcing_suite,
-    "symmetry": _symmetry_suite,
+    "symmetry": partial(_pair_suite, _symmetry_check),
 }
 VERIFY_SUITES = tuple(_SUITES)
 

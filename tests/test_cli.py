@@ -1,9 +1,16 @@
+import doctest
 import json
+import os
 import shlex
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import noflip
 from noflip import cli, enumeration
 from noflip.engine import MAX_LENGTH
 from noflip.enumeration import VerifyReport
@@ -413,6 +420,91 @@ class TestTopLevel:
         assert cli.main(["conquer"]) == 2
         capsys.readouterr()
 
+    def test_interrupt_is_one_line_and_exit_130(self, capsys, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(enumeration, "census", interrupted)
+        try:
+            code, out, err = run_cli(capsys, "enumerate", "--n", "3")
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped main")
+        assert code == 130
+        assert out == ""
+        assert err == "noflip: interrupted\n"
+
+
+def python_env(**extra: str) -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this noflip."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(noflip.__file__)))
+    return {**os.environ, "PYTHONPATH": src, **extra}
+
+
+def cli_process(*argv: str, env=None, **kwargs) -> subprocess.Popen:
+    """``python -m noflip.cli ARGV`` in a fresh interpreter."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "noflip.cli", *argv],
+        env=python_env(**(env or {})), text=True, **kwargs,
+    )
+
+
+def test_importing_the_cli_does_not_load_the_process_pool():
+    script = (
+        "import sys, noflip.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=python_env(), timeout=60,
+    )
+    assert proc.stdout == "[]\n"
+
+
+def test_ctrl_c_during_a_parallel_sweep_leaves_no_worker():
+    proc = cli_process(
+        "enumerate", "--n", "10", "--threads", "2",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        workers: list[str] = []
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = subprocess.run(
+                ["pgrep", "-P", str(proc.pid)], capture_output=True, text=True
+            ).stdout.split()
+        assert len(workers) == 2, "the two workers never started"
+        time.sleep(0.3)  # let both workers pick up their span
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130
+    assert out == ""
+    assert err == "noflip: interrupted\n"
+    left = subprocess.run(["pgrep", "-g", str(proc.pid)], capture_output=True, text=True)
+    assert left.stdout.split() == []
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_without_a_traceback(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = cli_process(
+            "verify", "--n", "1..3",
+            stdout=write_end, stderr=subprocess.PIPE,
+            env={"PYTHONUNBUFFERED": unbuffered},
+        )
+        _, err = proc.communicate(timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
 
 def readme_examples() -> list[tuple[list[str], str]]:
     """(argv, stdout) for each ``$ noflip ...`` line in the README's
@@ -441,3 +533,15 @@ def test_readme_examples_print_what_they_show(capsys, argv, expected):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == expected
+
+
+def test_readme_library_quick_start_runs_as_a_doctest():
+    section = README.read_text().split("## Library quick start", 1)[1]
+    block = section.split("```python", 1)[1].split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "README", str(README), 0)
+    runner = doctest.DocTestRunner(
+        optionflags=doctest.ELLIPSIS | doctest.NORMALIZE_WHITESPACE
+    )
+    results = runner.run(test)
+    assert results.attempted == len(test.examples) > 0
+    assert results.failed == 0

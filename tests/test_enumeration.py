@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from noflip import enumeration
@@ -122,7 +124,7 @@ class TestCensus:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
         assert census(4, workers=50) == census(4)
         assert opened == [2]
