@@ -151,31 +151,40 @@ def parse_toss_string(text: str) -> TossString:
     return TossString.from_text(text)
 
 
+def _kmp_push(
+    chars: list[int], fail: list[int], rows: list[tuple[int, int]], c: int
+) -> None:
+    """Extend a string's Knuth-Morris-Pratt tables by one character c.
+
+    failure[i] is the longest proper border of the first i+1 characters;
+    rows[s][c] is the progress after reading toss c in progress state s.
+    The new state s copies the row of its fallback state failure[s-1],
+    which is shorter and so already built, and the failure function
+    extends along the same row: failure[s] is where that row sends c.
+    """
+    state = len(rows)
+    if state:
+        row = rows[fail[state - 1]]
+        fail.append(row[c])
+    else:
+        row = (0, 0)
+        fail.append(0)
+    rows.append((row[0], state + 1) if c else (state + 1, row[1]))
+    chars.append(c)
+
+
 def _kmp_tables(
     length: int, bits: int
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
     """The string as 0 (H) / 1 (T) characters, first toss first, with its
-    failure function and transition rows, built in one Knuth-Morris-Pratt
-    pass.
-
-    failure[i] is the longest proper border of the first i+1 characters;
-    rows[s][c] is the progress after reading toss c in progress state s.
-    State s copies the row of its fallback state failure[s-1], which is
-    shorter and so already built, and the failure function extends along
-    the same row: failure[s] is where that row sends the character at s.
-    """
-    chars = tuple((bits >> (length - 1 - j)) & 1 for j in range(length))
-    fail = [0] * length
+    failure function and transition rows, built one character at a time
+    by :func:`_kmp_push`."""
+    chars: list[int] = []
+    fail: list[int] = []
     rows: list[tuple[int, int]] = []
-    for state, c in enumerate(chars):
-        if state:
-            row = list(rows[fail[state - 1]])
-            fail[state] = row[c]
-        else:
-            row = [0, 0]
-        row[c] = state + 1
-        rows.append((row[0], row[1]))
-    return chars, tuple(fail), tuple(rows)
+    for j in range(length):
+        _kmp_push(chars, fail, rows, (bits >> (length - 1 - j)) & 1)
+    return tuple(chars), tuple(fail), tuple(rows)
 
 
 @lru_cache(maxsize=4096)

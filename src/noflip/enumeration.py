@@ -9,11 +9,13 @@ other modules against brute force.
 The inner loop works on precomputed per-string transition tables and
 classifies infinite games by the proven toss cutoff (no win within
 ``finite_toss_bound(n)`` tosses), which the ``bound`` suite checks
-against the engine's repeated-state classifier on every pair.  Sweeps
-are embarrassingly parallel over disjoint ranges of the first player's
-string code; results merge in range order, so parallel and sequential
-runs produce identical output.  Pair iteration is in lexicographic
-order with H < T.
+against the engine's repeated-state classifier on every pair.  The
+no-loss sweep instead asks the forcing module's prefix search once per
+string; the ``forcing`` suite checks that search's impossible answers
+against a per-candidate cutoff scan.  Sweeps are embarrassingly
+parallel over disjoint ranges of the first player's string code;
+results merge in range order, so parallel and sequential runs produce
+identical output.  Pair iteration is in lexicographic order with H < T.
 """
 
 from __future__ import annotations
@@ -202,7 +204,7 @@ def _no_loss_chunk(args: tuple[int, int, int]) -> list[int]:
     return [
         code
         for code in range(max(lo, 1), hi)
-        if not _exists_forcer(Player.BOB, forcing.ForceGoal.LOSS, TossString(n, code))
+        if forcing._first_loss(Player.BOB, TossString(n, code)) is None
     ]
 
 

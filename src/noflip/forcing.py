@@ -3,8 +3,12 @@
 Each operation receives the opponent's committed string and builds the
 caller's own string so that the deterministic playout ends the way the
 caller wants: a win, a loss, or an infinite game.  Constructions are
-closed-form where a shape rule applies; otherwise a bounded exhaustive
-search runs over all candidate strings in lexicographic order (H < T).
+closed-form where a shape rule applies; a loss that fits no rule goes to
+a prefix search (:func:`_first_loss`).  It walks the caller's string one
+letter at a time, H before T, and reads a letter only when the game
+needs it, so one branch settles every string that shares its prefix.  It
+returns the string that a scan of all candidates in lexicographic order
+(H < T) would find first.
 
 Every returned string is verified by actually playing the game inside
 the operation, so a construction bug surfaces as a hard failure rather
@@ -15,9 +19,9 @@ frame (opponent starting with H) and mapped back.
 
 Impossible answers are exact.  Shape rules prove the small exception
 lists (short alternating opponents for infinite games, constant
-opponents of the wrong parity for forced losses); the search path
-proves impossibility by exhausting every candidate.  Opponents longer
-than the search cap that fall off every shape rule come back as
+opponents of the wrong parity for forced losses); the search proves
+impossibility by settling every branch without a loss.  Opponents
+longer than the search cap that fall off every shape rule come back as
 ``UNKNOWN`` rather than a guess.
 """
 
@@ -26,11 +30,20 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 
-from .engine import Outcome, OutcomeKind, Player, Toss, TossString, _SWAP, play
+from .engine import (
+    Outcome,
+    OutcomeKind,
+    Player,
+    Toss,
+    TossString,
+    _SWAP,
+    _kmp_push,
+    _tables_for,
+    play,
+)
 
-DEFAULT_SEARCH_CAP = 16
+DEFAULT_SEARCH_CAP = 24
 
 
 class ForceGoal(Enum):
@@ -87,12 +100,11 @@ def _finish(
 ) -> ForceResult:
     """Answer with the first rule candidate, a (text, method) pair written
     in the H-first frame, that reaches the goal against the real opponent.
-    Only the loss rules leave gaps; those fall to the exhaustive search."""
+    Only the loss rules leave gaps; within the cap, those fall to the
+    prefix search, whose one answer is played like a rule candidate."""
     n = opponent.length
     rules = [(TossString.from_text(text).bits, method) for text, method in attempts]
-    codes = range(1 << n) if goal is ForceGoal.LOSS and n <= cap else ()
-    search = ((code, "exhaustive-search") for code in codes)
-    found = _search(role, goal, opponent, chain(rules, search))
+    found = _search(role, goal, opponent, rules)
     if found is not None:
         return found
     if goal is not ForceGoal.LOSS:
@@ -100,8 +112,19 @@ def _finish(
             f"verified construction failed for {role.value}/{goal.value} "
             f"against {opponent.text}; this is a bug"
         )
-    status = ForceStatus.UNKNOWN if n > cap else ForceStatus.IMPOSSIBLE
-    return ForceResult(status, "exhaustive-search")
+    if n > cap:
+        return ForceResult(ForceStatus.UNKNOWN, "exhaustive-search")
+    code = _first_loss(role, opponent)
+    if code is None:
+        return ForceResult(ForceStatus.IMPOSSIBLE, "exhaustive-search")
+    found = _search(role, goal, opponent, [(code, "exhaustive-search")])
+    if found is None:
+        raise RuntimeError(
+            f"prefix search answer {TossString(n, code).text} (H-first frame) for "
+            f"{role.value}/{goal.value} against {opponent.text} fails its "
+            f"playout; this is a bug"
+        )
+    return found
 
 
 def _search(
@@ -123,6 +146,68 @@ def _search(
         if outcome.kind is wanted:
             return ForceResult(ForceStatus.FOUND, method, own, outcome)
     return None
+
+
+def _first_loss(role: Player, opponent: TossString) -> int | None:
+    """The first code, in H < T order in the frame where the opponent
+    starts with H, of a string with which ``role`` loses to the opponent;
+    None if no string does.
+
+    A depth-first walk plays the game with the searcher's string known
+    only up to a prefix.  It reads the next letter, H before T, only when
+    the searcher's progress reaches the end of the prefix, pushing that
+    letter's Knuth-Morris-Pratt row and popping it on the way back.  A
+    branch ends at a win, or when a (progress, progress, turn) triplet
+    repeats on the current path: every completion of the prefix then
+    plays the same infinite game.  The first branch the opponent wins
+    holds the answer, its prefix padded with H: the string a scan of every
+    code in H < T order finds first.  That is never the opponent's own
+    string.  While the prefix is a prefix of the opponent's string, both
+    progress values stay equal, so the opponent cannot win without the
+    searcher winning on the same toss.
+    """
+    norm, _ = _normalize(opponent)
+    n = norm.length
+    opp_chars, opp_rows = _tables_for(n, norm.bits)
+    own_turn = 0 if role is Player.ALICE else 1
+    chars: list[int] = []
+    fail: list[int] = []
+    rows: list[tuple[int, int]] = []
+    path: set[tuple[int, int, int]] = set()
+
+    def walk(p: int, q: int, turn: int) -> int | None:
+        added = []
+        try:
+            while p < len(rows):
+                key = (p, q, turn)
+                if key in path:
+                    return None
+                path.add(key)
+                added.append(key)
+                c = chars[p] if turn == own_turn else opp_chars[q]
+                p = rows[p][c]
+                q = opp_rows[q][c]
+                turn ^= 1
+                if p == n:  # a win, or a tie with the opponent's own string
+                    return None
+                if q == n:
+                    code = 0
+                    for bit in chars:
+                        code = code << 1 | bit
+                    return code << (n - len(chars))
+            for c in (0, 1):
+                _kmp_push(chars, fail, rows, c)
+                found = walk(p, q, turn)
+                chars.pop()
+                fail.pop()
+                rows.pop()
+                if found is not None:
+                    return found
+            return None
+        finally:
+            path.difference_update(added)
+
+    return walk(0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +301,7 @@ def alice_force_loss(bob: TossString, cap: int = DEFAULT_SEARCH_CAP) -> ForceRes
     normalized frame: an HT start, an even run of Hs, or an odd run of
     Hs followed by a doubled T), each shifting the opponent's string
     onto Alice's odd-numbered turns; opponents that fit no rule go to
-    exhaustive search.
+    the prefix search.
     """
     n = bob.length
     if n % 2 == 1 and bob.is_constant():
@@ -251,10 +336,10 @@ def bob_force_loss(alice: TossString, cap: int = DEFAULT_SEARCH_CAP) -> ForceRes
     """Bob picks a string that hands Alice the win.
 
     Impossible for constant opponents of even length, and for the
-    handful of no-loss strings that exhaustive search uncovers.  Odd
+    handful of no-loss strings that the prefix search uncovers.  Odd
     lengths copy the opponent and flip the final toss; an opponent
     opening with an odd run of its first letter is answered by the
-    one-step shift.  Everything else goes to exhaustive search.
+    one-step shift.  Everything else goes to the prefix search.
     """
     n = alice.length
     if n % 2 == 0 and alice.is_constant():

@@ -198,11 +198,16 @@ NO_LOSS_EIGHT = {
 
 
 def test_06_strings_the_opponent_cannot_lose_to():
-    with verdict("no-loss string sets at lengths 4, 6, 8 are exact, in < 60 s"):
+    with verdict(
+        "no-loss string sets at lengths 4, 6, 8 are exact, with 29 at 10 "
+        "and 105 at 12, in < 60 s"
+    ):
         start = time.perf_counter()
         assert {s.text for s in no_loss_strings(4)} == {"HHTT"}
         assert {s.text for s in no_loss_strings(6)} == {"HHTTTT", "HHTHTT", "HHHHTT"}
         assert {s.text for s in no_loss_strings(8)} == NO_LOSS_EIGHT
+        assert len(no_loss_strings(10)) == 29
+        assert len(no_loss_strings(12)) == 105
         assert time.perf_counter() - start < 60.0
 
 

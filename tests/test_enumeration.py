@@ -4,10 +4,10 @@ import pytest
 
 from noflip import enumeration
 from noflip import (
-    ForceStatus,
+    ForceGoal,
     OutcomeKind,
+    Player,
     TossString,
-    bob_force_loss,
     finite_toss_bound,
     play,
 )
@@ -15,6 +15,7 @@ from noflip.enumeration import (
     DEFAULT_SWEEP_CAP,
     OutcomeCensus,
     VERIFY_SUITES,
+    _exists_forcer,
     census,
     longest_finite,
     no_loss_strings,
@@ -186,15 +187,15 @@ class TestNoLossStrings:
     def test_parallel_matches_sequential(self):
         assert no_loss_strings(6, workers=3) == no_loss_strings(6)
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_matches_the_forcing_search(self, n):
         # A no-loss string is one against which Bob cannot force a loss:
-        # the cutoff sweep must agree with bob_force_loss, which proves
-        # impossibility by playing every candidate with play.
+        # the prefix search must agree with the cutoff oracle, which plays
+        # every candidate Bob string to the toss bound.
         expected = [
             alice
             for alice in (TossString(n, code) for code in range(1, 1 << (n - 1)))
-            if bob_force_loss(alice).status is ForceStatus.IMPOSSIBLE
+            if not _exists_forcer(Player.BOB, ForceGoal.LOSS, alice)
         ]
         assert no_loss_strings(n) == expected
 

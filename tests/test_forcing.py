@@ -6,9 +6,11 @@ from __future__ import annotations
 
 import pytest
 
+from noflip import forcing
 from noflip.engine import OutcomeKind, Player, TossString, play
 from noflip.forcing import (
     _GOAL_KINDS,
+    DEFAULT_SEARCH_CAP,
     ForceGoal,
     ForceResult,
     ForceStatus,
@@ -282,8 +284,8 @@ class TestBobForceLoss:
     def test_beyond_cap_is_unknown(self):
         # Even length, even leading run, not constant: no closed form,
         # and the opponent is longer than the search cap.
-        opponent = ts("HH" + "TH" * 7 + "TT")
-        assert opponent.length == 18
+        opponent = ts("HH" + "TH" * 12 + "TT")
+        assert opponent.length == 28 > DEFAULT_SEARCH_CAP
         result = bob_force_loss(opponent)
         assert result.status is UNKNOWN
         assert result.constructed is None
@@ -342,7 +344,7 @@ class TestSearchOrder:
     def test_search_answers_with_the_first_candidate_in_scan_order(self):
         ops = ((alice_force_loss, Player.ALICE), (bob_force_loss, Player.BOB))
         searched = found = 0
-        for n in range(1, 9):
+        for n in range(1, 11):
             for opponent in all_strings(n):
                 for op, role in ops:
                     result = op(opponent)
@@ -353,6 +355,15 @@ class TestSearchOrder:
                     expected = self.first_by_scan(role, opponent)
                     assert result.constructed == expected, (op.__name__, opponent)
         assert found and searched > found
+
+    # Against HHTH no loss rule applies and the search finds HHHH.  A wrong
+    # answer (the opponent's own string, or TTTT, which plays forever) must
+    # raise, not fall through to IMPOSSIBLE.
+    @pytest.mark.parametrize("wrong", ["HHTH", "TTTT"])
+    def test_an_answer_that_fails_its_playout_raises(self, monkeypatch, wrong):
+        monkeypatch.setattr(forcing, "_first_loss", lambda role, opp: ts(wrong).bits)
+        with pytest.raises(RuntimeError, match="fails its playout"):
+            bob_force_loss(ts("HHTH"))
 
 
 class TestForceDispatch:
