@@ -40,10 +40,15 @@ class RunProfile:
     tails: tuple[int, ...]
 
     def h(self, p: int) -> int:
-        return self.heads[p - 1]
+        return self.heads[self._index(p)]
 
     def t(self, p: int) -> int:
-        return self.tails[p - 1]
+        return self.tails[self._index(p)]
+
+    def _index(self, p: int) -> int:
+        if not 1 <= p <= len(self.heads):
+            raise ValueError(f"prefix length {p} out of range 1..{len(self.heads)}")
+        return p - 1
 
 
 def run_profile(s: TossString) -> RunProfile:
@@ -55,9 +60,10 @@ def run_profile(s: TossString) -> RunProfile:
         run = run + 1 if ch == prev else 1
         prev = ch
         if ch == "H":
-            best_h = max(best_h, run)
-        else:
-            best_t = max(best_t, run)
+            if run > best_h:
+                best_h = run
+        elif run > best_t:
+            best_t = run
         heads.append(best_h)
         tails.append(best_t)
     return RunProfile(s, tuple(heads), tuple(tails))
@@ -82,11 +88,11 @@ def predict_by_runs(alice: TossString, bob: TossString) -> Prediction | None:
     playout cycles.  Covers the doubled-opening corollary (one string
     starting HH, the other TT) at p = 2.
     """
-    n = _validate_pair(alice, bob)
+    _validate_pair(alice, bob)
     pa, pb = run_profile(alice), run_profile(bob)
-    for p in range(1, n + 1):
-        ahead_b = pa.h(p) + 1 < pb.h(p) and pb.t(p) + 1 < pa.t(p)
-        ahead_a = pb.h(p) + 1 < pa.h(p) and pa.t(p) + 1 < pb.t(p)
+    for ha, ta, hb, tb in zip(pa.heads, pa.tails, pb.heads, pb.tails):
+        ahead_b = ha + 1 < hb and tb + 1 < ta
+        ahead_a = hb + 1 < ha and ta + 1 < tb
         if ahead_a or ahead_b:
             return Prediction("run-length-gap", OutcomeKind.INFINITE)
     return None

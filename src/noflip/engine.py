@@ -32,6 +32,7 @@ MAX_LENGTH = 63  # a packed toss string must fit in one machine word
 _H, _T = 0, 1
 
 _SWAP = str.maketrans("HT", "TH")  # complement of a toss text
+_LETTERS = str.maketrans("01", "HT")  # binary digits of packed bits to toss text
 
 
 class Toss(Enum):
@@ -95,10 +96,8 @@ class TossString:
 
     @property
     def text(self) -> str:
-        return "".join(
-            "T" if (self.bits >> (self.length - 1 - j)) & 1 else "H"
-            for j in range(self.length)
-        )
+        # Zero padding to the full length keeps the leading H's.
+        return format(self.bits, f"0{self.length}b").translate(_LETTERS)
 
     def at(self, i: int) -> Toss:
         """Toss at 1-based position ``i``."""
@@ -261,6 +260,20 @@ class GameState:
 
 START_STATE = GameState(0, 0, Player.ALICE, 0)
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _state(a: int, b: int, turn: Player, k: int) -> GameState:
+    """A :class:`GameState` without the ``__post_init__`` checks, for
+    states that :func:`play` makes consistent by construction."""
+    s = _new(GameState)
+    _set(s, "a", a)
+    _set(s, "b", b)
+    _set(s, "turn", turn)
+    _set(s, "k", k)
+    return s
+
 
 class OutcomeKind(Enum):
     ALICE_WINS = "alice_wins"
@@ -323,7 +336,7 @@ class GameTrace:
 
     @property
     def text(self) -> str:
-        return "".join(t.value for t in self.tosses)
+        return "".join([t._value_ for t in self.tosses])
 
 
 def finite_toss_bound(n: int) -> int:
@@ -375,6 +388,10 @@ def _validate_pair(alice: TossString, bob: TossString) -> int:
     return alice.length
 
 
+_TOSSES = (Toss.H, Toss.T)
+_TURNS = (Player.BOB, Player.ALICE)  # whose turn after toss j + 1, by j & 1
+
+
 def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
     """Run the forced playout to a win or a repeated state.
 
@@ -387,27 +404,30 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
     ca, ra = _tables_for(alice.length, alice.bits)
     cb, rb = _tables_for(bob.length, bob.bits)
 
+    # The loop keeps plain ints only: a repeat key packs (a, b, turn) into
+    # one int (a and b stay below n <= 63 while the game runs), and the
+    # toss codes and progress values go to int lists for the trace.
     a = b = k = 0
-    seen: dict[tuple[int, int, int], int] = {}
-    tosses: list[Toss] = []
-    states: list[GameState] = [START_STATE]
+    seen: dict[int, int] = {}
+    codes: list[int] = []
+    after_a: list[int] = []
+    after_b: list[int] = []
     outcome: Outcome
 
     while True:
-        key = (a, b, k & 1)
+        key = a << 7 | b << 1 | k & 1
         if key in seen:
             entry = seen[key]
             outcome = Outcome.infinite(entry, k - entry)
             break
         seen[key] = k
-        c = ca[a] if k % 2 == 0 else cb[b]
+        c = cb[b] if k & 1 else ca[a]
         a = ra[a][c]
         b = rb[b][c]
         k += 1
-        tosses.append(Toss.T if c else Toss.H)
-        states.append(
-            GameState(a, b, Player.ALICE if k % 2 == 0 else Player.BOB, k)
-        )
+        codes.append(c)
+        after_a.append(a)
+        after_b.append(b)
         if a == n:
             outcome = Outcome.alice_wins(k)
             break
@@ -422,7 +442,12 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
             f"{alice.text}/{bob.text}: {outcome.describe()} is past the toss "
             f"bound {bound}"
         )
-    return outcome, GameTrace(tuple(tosses), tuple(states))
+    # Tuples are built from lists: tuple(map(...)) over-allocates while it grows.
+    tosses = tuple([_TOSSES[c] for c in codes])
+    states = [START_STATE]
+    for j in range(k):
+        states.append(_state(after_a[j], after_b[j], _TURNS[j & 1], j + 1))
+    return outcome, GameTrace(tosses, tuple(states))
 
 
 def state_sequence(alice: TossString, bob: TossString) -> tuple[GameState, ...]:

@@ -291,10 +291,11 @@ def _bound_check(alice: TossString, bob: TossString):
         if (s.a, s.b, s.turn) in _FORBIDDEN:
             yield f"forbidden state {(s.a, s.b, s.turn.value)}"
     if n <= 6:
+        text, a_text, b_text = trace.text, alice.text, bob.text
         for s in trace.states:
-            output = trace.text[: s.k]
-            if s.a != scan_progress(alice.text, output) or s.b != scan_progress(
-                bob.text, output
+            output = text[: s.k]
+            if s.a != scan_progress(a_text, output) or s.b != scan_progress(
+                b_text, output
             ):
                 yield "automaton disagrees with scan oracle"
 

@@ -63,6 +63,18 @@ class TestRunProfile:
                 assert profile.h(p) == brute_longest_run(s.text[:p], "H")
                 assert profile.t(p) == brute_longest_run(s.text[:p], "T")
 
+    @pytest.mark.parametrize("text", ["H", "HHTH", "TTHTHHHT"])
+    def test_prefix_length_out_of_range(self, text):
+        profile = run_profile(ts(text))
+        n = len(text)
+        for p in (0, n + 1, -1, -n):
+            with pytest.raises(ValueError):
+                profile.h(p)
+            with pytest.raises(ValueError):
+                profile.t(p)
+        assert profile.h(n) == brute_longest_run(text, "H")
+        assert profile.t(n) == brute_longest_run(text, "T")
+
     def test_profiles_never_decrease(self):
         for n in range(1, 7):
             for code in range(1 << n):
@@ -86,6 +98,30 @@ class TestPredictByRuns:
     def test_silent_on_close_strings(self):
         assert predict_by_runs(ts("HTHT"), ts("HTHH")) is None
         assert predict_by_runs(ts("HHTT"), ts("THHH")) is None
+
+    def test_matches_a_per_prefix_brute_force(self):
+        pairs = [pair for n in range(1, 9) for pair in all_pairs(n)]
+        rng = random.Random(8)
+        for n in range(9, 64):
+            for _ in range(20):
+                alice = TossString(n, rng.randrange(1 << n))
+                bob = TossString(n, rng.randrange(1 << n))
+                if alice != bob:
+                    pairs.append((alice, bob))
+        runs: dict[TossString, list[tuple[int, int]]] = {}
+        for s in {s for pair in pairs for s in pair}:
+            runs[s] = [
+                (brute_longest_run(s.text[:p], "H"), brute_longest_run(s.text[:p], "T"))
+                for p in range(1, s.length + 1)
+            ]
+        for alice, bob in pairs:
+            ra, rb = runs[alice], runs[bob]
+            want = any(
+                (ha + 1 < hb and tb + 1 < ta) or (hb + 1 < ha and ta + 1 < tb)
+                for (ha, ta), (hb, tb) in zip(ra, rb)
+            )
+            got = predict_by_runs(alice, bob)
+            assert got == (Prediction("run-length-gap", INFINITE) if want else None)
 
     def test_fired_predictions_are_sound(self):
         for n in range(2, 7):

@@ -13,7 +13,9 @@ import pytest
 
 import noflip
 from noflip.engine import (
+    MAX_LENGTH,
     GameState,
+    GameTrace,
     Outcome,
     OutcomeKind,
     Player,
@@ -84,6 +86,13 @@ class TestTossString:
             s.at(0)
         with pytest.raises(ValueError):
             s.at(5)
+
+    def test_text_matches_the_letters_one_by_one(self):
+        rng = random.Random(11)
+        strings = [s for n in range(1, 11) for s in all_strings(n)]
+        strings += [TossString(n, rng.randrange(1 << n)) for n in range(11, 64) for _ in range(8)]
+        for s in strings:
+            assert s.text == "".join(t.value for t in s)
 
     def test_complement_is_involution(self):
         for s in all_strings(5):
@@ -307,6 +316,14 @@ class TestPlay:
         assert outcome == Outcome.bob_wins(4)
         assert trace.text == "HHTT"
 
+    def test_trace_text_joins_the_toss_values(self):
+        for n in range(1, 5):
+            for alice in all_strings(n):
+                for bob in all_strings(n):
+                    if alice != bob:
+                        _, trace = play(alice, bob)
+                        assert trace.text == "".join(t.value for t in trace.tosses)
+
     def test_rejects_equal_strings(self):
         with pytest.raises(ValueError):
             play(ts("HT"), ts("HT"))
@@ -412,15 +429,79 @@ class TestPlayoutInvariants:
                 assert s.b == scan_progress(bob.text, output)
 
     def test_play_agrees_with_stepwise_next_choice_and_advance(self):
-        for alice, bob, (outcome, trace) in self.outcomes_small():
+        for alice, bob in stepwise_pairs():
             auto_a = ProgressAutomaton.build(alice)
             auto_b = ProgressAutomaton.build(bob)
-            current = START_STATE
-            for toss, after in zip(trace.tosses, trace.states[1:]):
-                mover = alice if current.turn is A else bob
-                assert next_choice(current, mover) is toss
-                current = advance(current, toss, auto_a, auto_b)
-                assert current == after
+            want = stepwise_playout(alice, bob, auto_a, auto_b)
+            got = play(alice, bob)
+            assert got == want, (alice, bob)
+            for fast, checked in zip(got[1].states, want[1].states):
+                assert fast == checked and hash(fast) == hash(checked)
+                assert type(fast) is GameState
+
+    def test_stepwise_pairs_reach_long_traces(self):
+        longest = max(
+            len(play(alice, bob)[1].tosses)
+            for alice, bob in stepwise_pairs()
+            if alice.length > 7
+        )
+        assert 60 <= longest <= finite_toss_bound(MAX_LENGTH)
+
+    def test_public_state_constructor_still_checks_the_turn(self):
+        _, trace = play(ts("HHTT"), ts("THHH"))
+        for s in trace.states:
+            flipped = A if s.turn is B else B
+            with pytest.raises(ValueError):
+                GameState(s.a, s.b, flipped, s.k)
+        with pytest.raises(ValueError):
+            GameState(-1, 0, A, 0)
+
+
+def stepwise_playout(alice, bob, auto_a, auto_b):
+    """Reference playout through the public step API: ``next_choice``,
+    ``advance`` and the checked ``GameState`` constructor, stopping at a
+    win or at the first repeated (a, b, turn) triplet."""
+    n = alice.length
+    current = START_STATE
+    tosses, states = [], [current]
+    seen: dict[tuple, int] = {}
+    while current.triplet not in seen:
+        seen[current.triplet] = current.k
+        toss = next_choice(current, alice if current.turn is A else bob)
+        current = advance(current, toss, auto_a, auto_b)
+        tosses.append(toss)
+        states.append(current)
+        if current.a == n:
+            outcome = Outcome.alice_wins(current.k)
+            break
+        if current.b == n:
+            outcome = Outcome.bob_wins(current.k)
+            break
+    else:
+        entry = seen[current.triplet]
+        outcome = Outcome.infinite(entry, current.k - entry)
+    return outcome, GameTrace(tuple(tosses), tuple(states))
+
+
+def stepwise_pairs():
+    """Every pair with n <= 7, then seeded random pairs for n = 8..63:
+    uniform ones, and forced wins where Alice flips Bob's first letter and
+    copies his prefix behind it.  Alice wins those on toss n, so they walk
+    the longest traces of the set, up to 63 tosses."""
+    for n in range(1, 8):
+        for alice in all_strings(n):
+            for bob in all_strings(n):
+                if alice != bob:
+                    yield alice, bob
+    rng = random.Random(63)
+    for n in range(8, MAX_LENGTH + 1):
+        for _ in range(6):
+            bob = TossString(n, rng.randrange(1 << n))
+            flipped = bob.complement().bits >> (n - 1) << (n - 1)
+            yield TossString(n, flipped | bob.bits >> 1), bob
+            alice = TossString(n, rng.randrange(1 << n))
+            if alice != bob:
+                yield alice, bob
 
 
 class TestOutcome:
