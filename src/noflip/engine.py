@@ -194,6 +194,65 @@ def _tables_for(length: int, bits: int) -> tuple[tuple[int, ...], tuple[tuple[in
     return chars, rows
 
 
+_ALICE_WIN, _BOB_WIN, _NO_WIN = 0, 1, 2  # a win is the winner's turn parity
+
+
+def _prefix_walk(n: int, own_turn: int, opp_chars, opp_rows, leaf):
+    """Play a fixed opponent against every searcher string of length n at
+    once; the searcher moves on turns of parity ``own_turn``.  At each
+    branch end call ``leaf(prefix_code, prefix_len, result, tosses)``, and
+    return the first value that is not None.
+
+    The walk plays the game with the searcher's string known only up to a
+    prefix.  It reads the next letter, H before T, only when the
+    searcher's progress reaches the end of the prefix, pushing that
+    letter's Knuth-Morris-Pratt row and popping it on the way back.  A
+    branch ends at a win (``result`` is the winner's turn parity) or when
+    a (progress, progress, turn) triplet repeats on the path (``_NO_WIN``):
+    every completion of the prefix then plays the same infinite game.  So
+    a branch end settles ``1 << (n - prefix_len)`` strings, in H < T
+    order; ``tosses`` counts the path's triplets, one per toss played.
+    While the prefix is a prefix of the opponent's string, both progress
+    values stay equal, so the opponent cannot win without the searcher
+    winning on the same toss: only that tie at toss n, reported as a
+    searcher win, settles the opponent's own string.
+    """
+    chars: list[int] = []
+    fail: list[int] = []
+    rows: list[tuple[int, int]] = []
+    path: set[tuple[int, int, int]] = set()
+
+    def walk(p: int, q: int, turn: int, code: int):
+        added = []
+        depth = len(rows)
+        try:
+            while p < depth:
+                key = (p, q, turn)
+                if key in path:
+                    return leaf(code, depth, _NO_WIN, len(path))
+                path.add(key)
+                added.append(key)
+                c = chars[p] if turn == own_turn else opp_chars[q]
+                p = rows[p][c]
+                q = opp_rows[q][c]
+                turn ^= 1
+                if p == n or q == n:
+                    return leaf(code, depth, own_turn ^ (p != n), len(path))
+            for c in (0, 1):
+                _kmp_push(chars, fail, rows, c)
+                found = walk(p, q, turn, code << 1 | c)
+                chars.pop()
+                fail.pop()
+                rows.pop()
+                if found is not None:
+                    return found
+            return None
+        finally:
+            path.difference_update(added)
+
+    return walk(0, 0, 0, 0)
+
+
 @dataclass(frozen=True)
 class ProgressAutomaton:
     """Progress tracker for one pattern string.

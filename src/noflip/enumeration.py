@@ -6,30 +6,33 @@ the longest finite games, the strings whose owner can never be handed
 a loss, and run verification suites that replay the invariants of the
 other modules against brute force.
 
-The inner loop works on precomputed per-string transition tables and
-classifies infinite games by the proven toss cutoff (no win within
-``finite_toss_bound(n)`` tosses), which the ``bound`` suite checks
-against the engine's repeated-state classifier on every pair.  The
-no-loss sweep instead asks the forcing module's prefix search once per
-string; the ``forcing`` suite checks that search's impossible answers
-against a per-candidate cutoff scan.  Sweeps are embarrassingly
-parallel over disjoint ranges of the first player's string code;
-results merge in range order, so parallel and sequential runs produce
-identical output.  Pair iteration is in lexicographic order with H < T.
+Census and longest games come from the engine's prefix walk, one per
+first string, which calls a game infinite when a (progress, progress,
+turn) triplet repeats; the no-loss sweep asks the forcing search, on the
+same walk, once per string.  The per-pair toss-cutoff classifier (no win
+within ``finite_toss_bound(n)`` tosses) stays as their oracle in the
+``bound`` and ``forcing`` suites.  Sweeps are embarrassingly parallel
+over disjoint ranges of the first player's string code; results merge
+in range order, so parallel and sequential runs produce identical
+output.  Pair iteration is in lexicographic order with H < T.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 from .engine import (
     MAX_LENGTH,
     OutcomeKind,
     Player,
     TossString,
+    _ALICE_WIN,
+    _BOB_WIN,
+    _NO_WIN,
     _SWAP,
+    _prefix_walk,
     _tables_for,
     finite_toss_bound,
     play,
@@ -41,7 +44,6 @@ from .analysis import all_predictions
 DEFAULT_SWEEP_CAP = 14
 SWEEP_CAP_ENV = "NOFLIP_SWEEP_CAP"
 
-_ALICE_WIN, _BOB_WIN, _NO_WIN = 0, 1, 2
 _RESULT_CODES = {
     OutcomeKind.ALICE_WINS: _ALICE_WIN,
     OutcomeKind.BOB_WINS: _BOB_WIN,
@@ -59,12 +61,6 @@ def _check_sweep_args(n: int, cap: int, workers: int) -> None:
         )
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
-
-
-@lru_cache(maxsize=8)
-def _sweep_tables(n: int):
-    """The engine's (characters, rows) tables of every code of length n."""
-    return tuple(_tables_for(n, code) for code in range(1 << n))
 
 
 def _playout_code(ca, ra, cb, rb, n: int, bound: int) -> tuple[int, int]:
@@ -102,27 +98,29 @@ def _run_chunks(worker, n: int, total: int, workers: int) -> list:
 
 def _sweep_chunk(args: tuple[int, int, int]) -> tuple[list[int], int, list]:
     """Outcome counts, the longest finite game and its witness code pairs
-    over the pairs whose first string's code lies in one span."""
+    over the pairs whose first string's code lies in one span, by one
+    prefix walk over Bob's strings per Alice string."""
     n, lo, hi = args
-    tables = _sweep_tables(n)
-    bound = finite_toss_bound(n)
     counts = [0, 0, 0]  # indexed by _ALICE_WIN, _BOB_WIN, _NO_WIN
     best = 0
-    witnesses: list[tuple[int, int]] = []
+    at_best: list[tuple[int, range]] = []  # (alice code, bob codes) of the longest
     for ai in range(lo, hi):
-        ca, ra = tables[ai]
-        for bi, (cb, rb) in enumerate(tables):
-            if bi == ai:
-                continue
-            result, tosses = _playout_code(ca, ra, cb, rb, n, bound)
-            counts[result] += 1
+
+        def leaf(code: int, length: int, result: int, tosses: int) -> None:
+            nonlocal best
+            shift = n - length
+            if result == _BOB_WIN and code << shift == ai:
+                return  # Bob's string is Alice's own: not a pair
+            counts[result] += 1 << shift
             if result == _NO_WIN or tosses < best:
-                continue
+                return
             if tosses > best:
                 best = tosses
-                witnesses = []
-            witnesses.append((ai, bi))
-    return counts, best, witnesses
+                at_best.clear()
+            at_best.append((ai, range(code << shift, (code + 1) << shift)))
+
+        _prefix_walk(n, _BOB_WIN, *_tables_for(n, ai), leaf)
+    return counts, best, [(ai, bi) for ai, bobs in at_best for bi in bobs]
 
 
 def _sweep(n: int, cap: int, workers: int) -> tuple[list[int], int, list]:
@@ -270,10 +268,10 @@ def _bound_check(alice: TossString, bob: TossString):
     classifiers, forbidden states, mover increments, and (for n <= 6) the
     direct-scan progress oracle."""
     n = alice.length
-    tables = _sweep_tables(n)
     bound = finite_toss_bound(n)
     outcome, trace = play(alice, bob)
-    result, tosses = _playout_code(*tables[alice.bits], *tables[bob.bits], n, bound)
+    tables = _tables_for(n, alice.bits) + _tables_for(n, bob.bits)
+    result, tosses = _playout_code(*tables, n, bound)
     if result != _RESULT_CODES[outcome.kind] or (
         not outcome.is_infinite and tosses != outcome.tosses
     ):
@@ -353,7 +351,6 @@ def _exists_forcer(
     """Whether some string reaches the goal against the opponent, judged
     by the toss cutoff (the independent oracle of ``forcing._search``)."""
     n = opponent.length
-    tables = _sweep_tables(n)
     bound = finite_toss_bound(n)
     opp = opponent.bits
     wanted = _RESULT_CODES[forcing._GOAL_KINDS[role, goal]]
@@ -361,7 +358,7 @@ def _exists_forcer(
         if code == opp:
             continue
         a, b = (opp, code) if role is Player.BOB else (code, opp)
-        if _playout_code(*tables[a], *tables[b], n, bound)[0] == wanted:
+        if _playout_code(*_tables_for(n, a), *_tables_for(n, b), n, bound)[0] == wanted:
             return True
     return False
 

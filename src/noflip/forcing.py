@@ -4,11 +4,11 @@ Each operation receives the opponent's committed string and builds the
 caller's own string so that the deterministic playout ends the way the
 caller wants: a win, a loss, or an infinite game.  Constructions are
 closed-form where a shape rule applies; a loss that fits no rule goes to
-a prefix search (:func:`_first_loss`).  It walks the caller's string one
-letter at a time, H before T, and reads a letter only when the game
-needs it, so one branch settles every string that shares its prefix.  It
-returns the string that a scan of all candidates in lexicographic order
-(H < T) would find first.
+a prefix search (:func:`_first_loss`) on the engine's prefix walk
+(:func:`~noflip.engine._prefix_walk`).  The walk reads the caller's
+string one letter at a time, H before T, only when the game needs it, so
+one branch settles every string that shares its prefix.  The search
+returns the string a scan of all candidates in H < T order finds first.
 
 Every returned string is verified by actually playing the game inside
 the operation, so a construction bug surfaces as a hard failure rather
@@ -38,7 +38,7 @@ from .engine import (
     Toss,
     TossString,
     _SWAP,
-    _kmp_push,
+    _prefix_walk,
     _tables_for,
     play,
 )
@@ -151,63 +151,17 @@ def _search(
 def _first_loss(role: Player, opponent: TossString) -> int | None:
     """The first code, in H < T order in the frame where the opponent
     starts with H, of a string with which ``role`` loses to the opponent;
-    None if no string does.
-
-    A depth-first walk plays the game with the searcher's string known
-    only up to a prefix.  It reads the next letter, H before T, only when
-    the searcher's progress reaches the end of the prefix, pushing that
-    letter's Knuth-Morris-Pratt row and popping it on the way back.  A
-    branch ends at a win, or when a (progress, progress, turn) triplet
-    repeats on the current path: every completion of the prefix then
-    plays the same infinite game.  The first branch the opponent wins
-    holds the answer, its prefix padded with H: the string a scan of every
-    code in H < T order finds first.  That is never the opponent's own
-    string.  While the prefix is a prefix of the opponent's string, both
-    progress values stay equal, so the opponent cannot win without the
-    searcher winning on the same toss.
-    """
+    None if no string does.  The first branch end of
+    :func:`~noflip.engine._prefix_walk` that the opponent wins holds it,
+    its prefix padded with H."""
     norm, _ = _normalize(opponent)
     n = norm.length
-    opp_chars, opp_rows = _tables_for(n, norm.bits)
     own_turn = 0 if role is Player.ALICE else 1
-    chars: list[int] = []
-    fail: list[int] = []
-    rows: list[tuple[int, int]] = []
-    path: set[tuple[int, int, int]] = set()
 
-    def walk(p: int, q: int, turn: int) -> int | None:
-        added = []
-        try:
-            while p < len(rows):
-                key = (p, q, turn)
-                if key in path:
-                    return None
-                path.add(key)
-                added.append(key)
-                c = chars[p] if turn == own_turn else opp_chars[q]
-                p = rows[p][c]
-                q = opp_rows[q][c]
-                turn ^= 1
-                if p == n:  # a win, or a tie with the opponent's own string
-                    return None
-                if q == n:
-                    code = 0
-                    for bit in chars:
-                        code = code << 1 | bit
-                    return code << (n - len(chars))
-            for c in (0, 1):
-                _kmp_push(chars, fail, rows, c)
-                found = walk(p, q, turn)
-                chars.pop()
-                fail.pop()
-                rows.pop()
-                if found is not None:
-                    return found
-            return None
-        finally:
-            path.difference_update(added)
+    def leaf(code: int, length: int, result: int, tosses: int) -> int | None:
+        return code << (n - length) if result == own_turn ^ 1 else None
 
-    return walk(0, 0, 0)
+    return _prefix_walk(n, own_turn, *_tables_for(n, norm.bits), leaf)
 
 
 # ---------------------------------------------------------------------------

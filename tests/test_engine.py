@@ -414,6 +414,35 @@ class TestPlayoutInvariants:
             assert mirrored == outcome
             assert mirrored_trace.text == trace.text.translate(str.maketrans("HT", "TH"))
 
+    def test_complement_symmetry_past_length_eight(self):
+        rng = random.Random(2409)
+        for n in range(9, 25):
+            for _ in range(12):
+                alice = TossString(n, rng.randrange(1 << n))
+                bob = TossString(n, rng.randrange(1 << n))
+                if alice == bob:
+                    continue
+                outcome, trace = play(alice, bob)
+                mirrored, mirrored_trace = play(alice.complement(), bob.complement())
+                assert mirrored == outcome
+                assert mirrored_trace.text == trace.text.translate(
+                    str.maketrans("HT", "TH")
+                )
+
+    def test_progress_matches_scan_oracle_past_length_eight(self):
+        rng = random.Random(920)
+        for n in range(9, 21):
+            for _ in range(12):
+                alice = TossString(n, rng.randrange(1 << n))
+                bob = TossString(n, rng.randrange(1 << n))
+                if alice == bob:
+                    continue
+                _, trace = play(alice, bob)
+                for s in trace.states:
+                    output = trace.text[: s.k]
+                    assert s.a == scan_progress(alice.text, output)
+                    assert s.b == scan_progress(bob.text, output)
+
     def test_progress_matches_scan_oracle_along_random_games(self):
         rng = random.Random(31)
         for _ in range(150):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 
 import pytest
 
@@ -11,11 +12,14 @@ from noflip import (
     finite_toss_bound,
     play,
 )
+from noflip.engine import _NO_WIN, _tables_for
 from noflip.enumeration import (
     DEFAULT_SWEEP_CAP,
     OutcomeCensus,
     VERIFY_SUITES,
     _exists_forcer,
+    _playout_code,
+    _sweep,
     census,
     longest_finite,
     no_loss_strings,
@@ -129,6 +133,67 @@ class TestCensus:
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
         assert census(4, workers=50) == census(4)
         assert opened == [2]
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_by_pairs(n):
+    """The sweep as a plain loop over every ordered pair, each classified
+    by the toss-cutoff oracle: counts, longest finite game, witnesses."""
+    bound = finite_toss_bound(n)
+    counts = [0, 0, 0]
+    best, witnesses = 0, []
+    for ai in range(1 << n):
+        for bi in range(1 << n):
+            if ai == bi:
+                continue
+            tables = _tables_for(n, ai) + _tables_for(n, bi)
+            result, tosses = _playout_code(*tables, n, bound)
+            counts[result] += 1
+            if result == _NO_WIN or tosses < best:
+                continue
+            if tosses > best:
+                best, witnesses = tosses, []
+            witnesses.append((ai, bi))
+    return counts, best, witnesses
+
+
+# (alice wins, bob wins, infinite), longest finite game, its witness pairs
+LONGER_ROWS = {
+    9: ((27410, 25804, 208418), 25, [("HHHTHHTTT", "THHTHHHHT"), ("TTTHTTHHH", "HTTHTTTTH")]),
+    10: (
+        (72636, 81294, 893622),
+        28,
+        [
+            ("HHTHTTHTTT", "THTHHTHTTT"),
+            ("HHTTHTHTTT", "THTHTHHTTT"),
+            ("HTHTHHTTTT", "THHTTHTHTT"),
+            ("THTHTTHHHH", "HTTHHTHTHH"),
+            ("TTHHTHTHHH", "HTHTHTTHHH"),
+            ("TTHTHHTHHH", "HTHTTHTHHH"),
+        ],
+    ),
+    11: (
+        (242258, 233462, 3716536),
+        32,
+        [("HHTTHHTHTTH", "THTHHTTHHHH"), ("TTHHTTHTHHT", "HTHTTHHTTTT")],
+    ),
+}
+
+
+class TestSweepKernel:
+    """The prefix-walk sweep against a per-pair loop over the cutoff oracle."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_the_per_pair_oracle(self, n, workers):
+        counts, best, witnesses = _sweep(n, DEFAULT_SWEEP_CAP, workers)
+        assert (counts, best, witnesses) == sweep_by_pairs(n)
+
+    @pytest.mark.parametrize("n", sorted(LONGER_ROWS))
+    def test_longer_rows(self, n):
+        counts, best, witnesses = _sweep(n, DEFAULT_SWEEP_CAP, 1)
+        pairs = [(TossString(n, a).text, TossString(n, b).text) for a, b in witnesses]
+        assert (tuple(counts), best, pairs) == LONGER_ROWS[n]
 
 
 class TestLongestFinite:

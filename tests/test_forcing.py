@@ -4,6 +4,8 @@ Impossible answers against brute-force candidate scans."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from noflip import forcing
@@ -117,6 +119,21 @@ class TestAliceForceWin:
                 result = alice_force_win(bob)
                 assert result.status is FOUND
                 assert result.verified_outcome.tosses == n, bob
+
+
+class TestForcedWinTiming:
+    """Seeded opponents past the exhaustive lengths."""
+
+    def test_found_wins_land_in_time_past_length_eight(self):
+        # Alice's forced win lands by toss n, Bob's by toss n + 1.
+        rng = random.Random(940)
+        for n in range(9, 41):
+            for _ in range(6):
+                opponent = TossString(n, rng.randrange(1 << n))
+                for op, limit in ((alice_force_win, n), (bob_force_win, n + 1)):
+                    result = op(opponent)
+                    assert result.status is FOUND
+                    assert result.verified_outcome.tosses <= limit, (op, opponent)
 
 
 class TestForceInfinite:
