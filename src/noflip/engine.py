@@ -19,6 +19,11 @@ automaton per string (transition table derived from the classic
 failure function), so each toss costs O(1).  The direct
 suffix-comparison formula is kept as :func:`scan_progress` and serves
 as an independent oracle for the automaton in the test suite.
+
+Every game loop lives here, and no other module reads the automaton
+tables: the sweeps and the forcing search pass string codes to
+:func:`_prefix_walk`, which builds its opponent's tables uncached, and
+the per-pair toss-cutoff oracle is :func:`_playout_code`.
 """
 
 from __future__ import annotations
@@ -188,69 +193,10 @@ def _kmp_tables(
 
 @lru_cache(maxsize=4096)
 def _tables_for(length: int, bits: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Cached characters and transition rows; playouts never read the
-    failure function, so the cache does not hold it."""
+    """Cached characters and rows, no failure function, for :func:`play`
+    and :func:`_playout_code`: the loops that meet the same strings again."""
     chars, _, rows = _kmp_tables(length, bits)
     return chars, rows
-
-
-_ALICE_WIN, _BOB_WIN, _NO_WIN = 0, 1, 2  # a win is the winner's turn parity
-
-
-def _prefix_walk(n: int, own_turn: int, opp_chars, opp_rows, leaf):
-    """Play a fixed opponent against every searcher string of length n at
-    once; the searcher moves on turns of parity ``own_turn``.  At each
-    branch end call ``leaf(prefix_code, prefix_len, result, tosses)``, and
-    return the first value that is not None.
-
-    The walk plays the game with the searcher's string known only up to a
-    prefix.  It reads the next letter, H before T, only when the
-    searcher's progress reaches the end of the prefix, pushing that
-    letter's Knuth-Morris-Pratt row and popping it on the way back.  A
-    branch ends at a win (``result`` is the winner's turn parity) or when
-    a (progress, progress, turn) triplet repeats on the path (``_NO_WIN``):
-    every completion of the prefix then plays the same infinite game.  So
-    a branch end settles ``1 << (n - prefix_len)`` strings, in H < T
-    order; ``tosses`` counts the path's triplets, one per toss played.
-    While the prefix is a prefix of the opponent's string, both progress
-    values stay equal, so the opponent cannot win without the searcher
-    winning on the same toss: only that tie at toss n, reported as a
-    searcher win, settles the opponent's own string.
-    """
-    chars: list[int] = []
-    fail: list[int] = []
-    rows: list[tuple[int, int]] = []
-    path: set[tuple[int, int, int]] = set()
-
-    def walk(p: int, q: int, turn: int, code: int):
-        added = []
-        depth = len(rows)
-        try:
-            while p < depth:
-                key = (p, q, turn)
-                if key in path:
-                    return leaf(code, depth, _NO_WIN, len(path))
-                path.add(key)
-                added.append(key)
-                c = chars[p] if turn == own_turn else opp_chars[q]
-                p = rows[p][c]
-                q = opp_rows[q][c]
-                turn ^= 1
-                if p == n or q == n:
-                    return leaf(code, depth, own_turn ^ (p != n), len(path))
-            for c in (0, 1):
-                _kmp_push(chars, fail, rows, c)
-                found = walk(p, q, turn, code << 1 | c)
-                chars.pop()
-                fail.pop()
-                rows.pop()
-                if found is not None:
-                    return found
-            return None
-        finally:
-            path.difference_update(added)
-
-    return walk(0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -338,6 +284,14 @@ class OutcomeKind(Enum):
     ALICE_WINS = "alice_wins"
     BOB_WINS = "bob_wins"
     INFINITE = "infinite"
+
+
+_ALICE_WIN, _BOB_WIN, _NO_WIN = 0, 1, 2  # a win is the winner's turn parity
+_RESULT_CODES = {
+    OutcomeKind.ALICE_WINS: _ALICE_WIN,
+    OutcomeKind.BOB_WINS: _BOB_WIN,
+    OutcomeKind.INFINITE: _NO_WIN,
+}
 
 
 @dataclass(frozen=True)
@@ -512,3 +466,77 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
 def state_sequence(alice: TossString, bob: TossString) -> tuple[GameState, ...]:
     """The state visited before each toss plus the terminal state."""
     return play(alice, bob)[1].states
+
+
+def _playout_code(n: int, alice_code: int, bob_code: int) -> tuple[int, int]:
+    """One pair's (result, tosses played) by the toss cutoff alone, with
+    no repeat check: the oracle of :func:`play` and :func:`_prefix_walk`."""
+    ca, ra = _tables_for(n, alice_code)
+    cb, rb = _tables_for(n, bob_code)
+    a = b = 0
+    for k in range(1, finite_toss_bound(n) + 1):
+        c = ca[a] if k % 2 else cb[b]
+        a = ra[a][c]
+        b = rb[b][c]
+        if a == n:
+            return _ALICE_WIN, k
+        if b == n:
+            return _BOB_WIN, k
+    return _NO_WIN, k
+
+
+def _prefix_walk(n: int, own_turn: int, opp_code: int, leaf):
+    """Play a fixed opponent against every searcher string of length n at
+    once; the searcher moves on turns of parity ``own_turn``.  At each
+    branch end call ``leaf(prefix_code, prefix_len, result, tosses)``, and
+    return the first value that is not None.
+
+    The walk plays the game with the searcher's string known only up to a
+    prefix.  It reads the next letter, H before T, only when the
+    searcher's progress reaches the end of the prefix, pushing that
+    letter's Knuth-Morris-Pratt row and popping it on the way back.  A
+    branch ends at a win (``result`` is the winner's turn parity) or when
+    a (progress, progress, turn) triplet repeats on the path (``_NO_WIN``):
+    every completion of the prefix then plays the same infinite game.  So
+    a branch end settles ``1 << (n - prefix_len)`` strings, in H < T
+    order; ``tosses`` counts the path's triplets, one per toss played.
+    While the prefix is a prefix of the opponent's string, both progress
+    values stay equal, so the opponent cannot win without the searcher
+    winning on the same toss: only that tie at toss n, reported as a
+    searcher win, settles the opponent's own string.
+    """
+    opp_chars, _, opp_rows = _kmp_tables(n, opp_code)
+    chars: list[int] = []
+    fail: list[int] = []
+    rows: list[tuple[int, int]] = []
+    path: set[tuple[int, int, int]] = set()
+
+    def walk(p: int, q: int, turn: int, code: int):
+        added = []
+        depth = len(rows)
+        try:
+            while p < depth:
+                key = (p, q, turn)
+                if key in path:
+                    return leaf(code, depth, _NO_WIN, len(path))
+                path.add(key)
+                added.append(key)
+                c = chars[p] if turn == own_turn else opp_chars[q]
+                p = rows[p][c]
+                q = opp_rows[q][c]
+                turn ^= 1
+                if p == n or q == n:
+                    return leaf(code, depth, own_turn ^ (p != n), len(path))
+            for c in (0, 1):
+                _kmp_push(chars, fail, rows, c)
+                found = walk(p, q, turn, code << 1 | c)
+                chars.pop()
+                fail.pop()
+                rows.pop()
+                if found is not None:
+                    return found
+            return None
+        finally:
+            path.difference_update(added)
+
+    return walk(0, 0, 0, 0)

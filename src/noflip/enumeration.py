@@ -9,12 +9,13 @@ other modules against brute force.
 Census and longest games come from the engine's prefix walk, one per
 first string, which calls a game infinite when a (progress, progress,
 turn) triplet repeats; the no-loss sweep asks the forcing search, on the
-same walk, once per string.  The per-pair toss-cutoff classifier (no win
-within ``finite_toss_bound(n)`` tosses) stays as their oracle in the
-``bound`` and ``forcing`` suites.  Sweeps are embarrassingly parallel
-over disjoint ranges of the first player's string code; results merge
-in range order, so parallel and sequential runs produce identical
-output.  Pair iteration is in lexicographic order with H < T.
+same walk, once per string; this module passes string codes and holds
+no game loop.  The engine's per-pair toss-cutoff replay (no win within
+``finite_toss_bound(n)`` tosses) is their oracle in the ``bound`` and
+``forcing`` suites.  Sweeps are embarrassingly parallel over disjoint
+ranges of the first player's string code; results merge in range
+order, so parallel and sequential runs produce identical output.  Pair
+iteration is in lexicographic order with H < T.
 """
 
 from __future__ import annotations
@@ -25,15 +26,14 @@ from functools import partial
 
 from .engine import (
     MAX_LENGTH,
-    OutcomeKind,
     Player,
     TossString,
-    _ALICE_WIN,
     _BOB_WIN,
     _NO_WIN,
+    _RESULT_CODES,
     _SWAP,
+    _playout_code,
     _prefix_walk,
-    _tables_for,
     finite_toss_bound,
     play,
     scan_progress,
@@ -43,12 +43,6 @@ from .analysis import all_predictions
 
 DEFAULT_SWEEP_CAP = 14
 SWEEP_CAP_ENV = "NOFLIP_SWEEP_CAP"
-
-_RESULT_CODES = {
-    OutcomeKind.ALICE_WINS: _ALICE_WIN,
-    OutcomeKind.BOB_WINS: _BOB_WIN,
-    OutcomeKind.INFINITE: _NO_WIN,
-}
 
 
 def _check_sweep_args(n: int, cap: int, workers: int) -> None:
@@ -61,21 +55,6 @@ def _check_sweep_args(n: int, cap: int, workers: int) -> None:
         )
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
-
-
-def _playout_code(ca, ra, cb, rb, n: int, bound: int) -> tuple[int, int]:
-    """Classify one pair by the cutoff rule: (result, tosses played)."""
-    a = b = k = 0
-    while k < bound:
-        c = ca[a] if k % 2 == 0 else cb[b]
-        k += 1
-        a = ra[a][c]
-        b = rb[b][c]
-        if a == n:
-            return _ALICE_WIN, k
-        if b == n:
-            return _BOB_WIN, k
-    return _NO_WIN, k
 
 
 def _ranges(total: int, parts: int) -> list[tuple[int, int]]:
@@ -119,7 +98,7 @@ def _sweep_chunk(args: tuple[int, int, int]) -> tuple[list[int], int, list]:
                 at_best.clear()
             at_best.append((ai, range(code << shift, (code + 1) << shift)))
 
-        _prefix_walk(n, _BOB_WIN, *_tables_for(n, ai), leaf)
+        _prefix_walk(n, _BOB_WIN, ai, leaf)
     return counts, best, [(ai, bi) for ai, bobs in at_best for bi in bobs]
 
 
@@ -202,7 +181,7 @@ def _no_loss_chunk(args: tuple[int, int, int]) -> list[int]:
     return [
         code
         for code in range(max(lo, 1), hi)
-        if forcing._first_loss(Player.BOB, TossString(n, code)) is None
+        if forcing._first_loss(Player.BOB, n, code) is None
     ]
 
 
@@ -270,8 +249,7 @@ def _bound_check(alice: TossString, bob: TossString):
     n = alice.length
     bound = finite_toss_bound(n)
     outcome, trace = play(alice, bob)
-    tables = _tables_for(n, alice.bits) + _tables_for(n, bob.bits)
-    result, tosses = _playout_code(*tables, n, bound)
+    result, tosses = _playout_code(n, alice.bits, bob.bits)
     if result != _RESULT_CODES[outcome.kind] or (
         not outcome.is_infinite and tosses != outcome.tosses
     ):
@@ -349,16 +327,15 @@ def _exists_forcer(
     role: Player, goal: forcing.ForceGoal, opponent: TossString
 ) -> bool:
     """Whether some string reaches the goal against the opponent, judged
-    by the toss cutoff (the independent oracle of ``forcing._search``)."""
+    by the toss cutoff (the oracle of the forcing rules and search)."""
     n = opponent.length
-    bound = finite_toss_bound(n)
     opp = opponent.bits
     wanted = _RESULT_CODES[forcing._GOAL_KINDS[role, goal]]
     for code in range(1 << n):
         if code == opp:
             continue
         a, b = (opp, code) if role is Player.BOB else (code, opp)
-        if _playout_code(*_tables_for(n, a), *_tables_for(n, b), n, bound)[0] == wanted:
+        if _playout_code(n, a, b)[0] == wanted:
             return True
     return False
 

@@ -10,12 +10,12 @@ string one letter at a time, H before T, only when the game needs it, so
 one branch settles every string that shares its prefix.  The search
 returns the string a scan of all candidates in H < T order finds first.
 
-Every returned string is verified by actually playing the game inside
-the operation, so a construction bug surfaces as a hard failure rather
-than a wrong answer.  Results are complement-covariant: forcing
-against the complemented opponent returns the complemented string with
-the same method label, because constructions are built in a normalized
-frame (opponent starting with H) and mapped back.
+Every candidate, rule or search answer, is played against the real
+opponent in one place (:func:`_finish`), so a construction bug is a hard
+failure rather than a wrong answer.  Results are complement-covariant:
+forcing against the complemented opponent returns the complemented
+string with the same method label, because constructions are built in a
+normalized frame (opponent starting with H) and mapped back.
 
 Impossible answers are exact.  Shape rules prove the small exception
 lists (short alternating opponents for infinite games, constant
@@ -27,7 +27,6 @@ longer than the search cap that fall off every shape rule come back as
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,7 +38,6 @@ from .engine import (
     TossString,
     _SWAP,
     _prefix_walk,
-    _tables_for,
     play,
 )
 
@@ -98,70 +96,54 @@ def _finish(
     attempts: list[tuple[str, str]],
     cap: int = DEFAULT_SEARCH_CAP,
 ) -> ForceResult:
-    """Answer with the first rule candidate, a (text, method) pair written
-    in the H-first frame, that reaches the goal against the real opponent.
-    Only the loss rules leave gaps; within the cap, those fall to the
-    prefix search, whose one answer is played like a rule candidate."""
+    """Answer with the first candidate that reaches the goal against the
+    real opponent: the rule candidates, (text, method) pairs written in the
+    H-first frame, then for a loss within the cap the prefix search's one
+    answer.  Only the loss rules leave gaps; any other miss is a bug."""
     n = opponent.length
-    rules = [(TossString.from_text(text).bits, method) for text, method in attempts]
-    found = _search(role, goal, opponent, rules)
-    if found is not None:
-        return found
-    if goal is not ForceGoal.LOSS:
-        raise RuntimeError(
-            f"verified construction failed for {role.value}/{goal.value} "
-            f"against {opponent.text}; this is a bug"
-        )
-    if n > cap:
-        return ForceResult(ForceStatus.UNKNOWN, "exhaustive-search")
-    code = _first_loss(role, opponent)
-    if code is None:
-        return ForceResult(ForceStatus.IMPOSSIBLE, "exhaustive-search")
-    found = _search(role, goal, opponent, [(code, "exhaustive-search")])
-    if found is None:
-        raise RuntimeError(
-            f"prefix search answer {TossString(n, code).text} (H-first frame) for "
-            f"{role.value}/{goal.value} against {opponent.text} fails its "
-            f"playout; this is a bug"
-        )
-    return found
-
-
-def _search(
-    role: Player,
-    goal: ForceGoal,
-    opponent: TossString,
-    candidates: Iterable[tuple[int, str]],
-) -> ForceResult | None:
-    """Play each (H-first code, method) candidate, mapped back to the
-    opponent's frame, in order; the first that reaches the goal wins."""
-    n = opponent.length
+    norm, mask = _normalize(opponent)
     wanted = _GOAL_KINDS[role, goal]
-    _, mask = _normalize(opponent)
-    for code, method in candidates:
-        own = TossString(n, code ^ mask)
-        if own == opponent:
-            continue
-        outcome = (play(own, opponent) if role is Player.ALICE else play(opponent, own))[0]
-        if outcome.kind is wanted:
-            return ForceResult(ForceStatus.FOUND, method, own, outcome)
-    return None
+
+    def reaches_goal(code: int, method: str) -> ForceResult | None:
+        own = TossString(n, code ^ mask)  # back to the opponent's frame
+        if own != opponent:
+            alice, bob = (own, opponent) if role is Player.ALICE else (opponent, own)
+            outcome = play(alice, bob)[0]
+            if outcome.kind is wanted:
+                return ForceResult(ForceStatus.FOUND, method, own, outcome)
+        return None
+
+    for text, method in attempts:
+        found = reaches_goal(TossString.from_text(text).bits, method)
+        if found is not None:
+            return found
+    if goal is ForceGoal.LOSS:
+        if n > cap:
+            return ForceResult(ForceStatus.UNKNOWN, "exhaustive-search")
+        code = _first_loss(role, n, norm.bits)
+        if code is None:
+            return ForceResult(ForceStatus.IMPOSSIBLE, "exhaustive-search")
+        found = reaches_goal(code, "exhaustive-search")
+        if found is not None:
+            return found
+    raise RuntimeError(
+        f"verified construction for {role.value}/{goal.value} against "
+        f"{opponent.text} fails its playout; this is a bug"
+    )
 
 
-def _first_loss(role: Player, opponent: TossString) -> int | None:
-    """The first code, in H < T order in the frame where the opponent
-    starts with H, of a string with which ``role`` loses to the opponent;
-    None if no string does.  The first branch end of
+def _first_loss(role: Player, n: int, opponent_code: int) -> int | None:
+    """The first code, in H < T order, of a string of length n with which
+    ``role`` loses to the opponent string ``opponent_code``; None if no
+    string does.  The first branch end of
     :func:`~noflip.engine._prefix_walk` that the opponent wins holds it,
     its prefix padded with H."""
-    norm, _ = _normalize(opponent)
-    n = norm.length
     own_turn = 0 if role is Player.ALICE else 1
 
     def leaf(code: int, length: int, result: int, tosses: int) -> int | None:
         return code << (n - length) if result == own_turn ^ 1 else None
 
-    return _prefix_walk(n, own_turn, *_tables_for(n, norm.bits), leaf)
+    return _prefix_walk(n, own_turn, opponent_code, leaf)
 
 
 # ---------------------------------------------------------------------------

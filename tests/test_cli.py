@@ -67,6 +67,29 @@ class TestSimulate:
         assert code == 0
         assert "predicted: run-length-gap -> infinite" in out
 
+    @pytest.mark.parametrize(
+        "alice,bob,predictions",
+        [
+            (
+                "HH",
+                "TT",
+                [
+                    {"rule": "run-length-gap", "kind": "infinite", "tosses": None},
+                    {"rule": "constant-alice", "kind": "infinite", "tosses": None},
+                ],
+            ),
+            ("HH", "TH", [{"rule": "constant-alice", "kind": "bob_wins", "tosses": 3}]),
+            ("HTT", "THH", []),
+        ],
+    )
+    def test_json_predictions(self, capsys, alice, bob, predictions):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--alice", alice, "--bob", bob,
+            "--predict", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["predictions"] == predictions
+
     def test_predictions_can_be_empty(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--alice", "HTT", "--bob", "THH", "--predict"
@@ -281,6 +304,40 @@ class TestEnumerate:
         code, out, _ = run_cli(capsys, "enumerate", "--n", "4", "--what", "noloss")
         assert code == 0
         assert out.strip() == "n=4: HHTT"
+
+    def test_noloss_json_for_one_length_is_one_document(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "enumerate", "--n", "4", "--what", "noloss", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out) == {"n": 4, "strings": ["HHTT"]}
+
+    def test_noloss_json_for_a_range_is_a_list(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "enumerate", "--n", "4..6", "--what", "noloss", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out) == [
+            {"n": 4, "strings": ["HHTT"]},
+            {"n": 5, "strings": []},
+            {"n": 6, "strings": ["HHHHTT", "HHTHTT", "HHTTTT"]},
+        ]
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("0", "thread count must be positive"),
+            ("-1", "thread count must be positive"),
+            ("many", "thread count must be a number or 'auto', got 'many'"),
+        ],
+        ids=["0", "-1", "many"],
+    )
+    def test_bad_thread_counts_are_usage_errors(self, capsys, bad, message):
+        code, out, err = run_cli(capsys, "enumerate", "--n", "3", "--threads", bad)
+        assert code == 2
+        assert out == ""
+        assert f"argument --threads: {message}" in err
+        assert "Traceback" not in err
 
     def test_csv_is_census_only(self, capsys):
         code, _, err = run_cli(

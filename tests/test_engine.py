@@ -67,6 +67,19 @@ class TestTossString:
         with pytest.raises(ValueError):
             parse_toss_string(bad)
 
+    @pytest.mark.parametrize(
+        "length,bits,message",
+        [
+            (0, 0, "length must be 1..63"),
+            (64, 0, "length must be 1..63"),
+            (3, 8, "out of range for length 3"),
+            (3, -1, "out of range for length 3"),
+        ],
+    )
+    def test_constructor_rejects_bad_length_or_bits(self, length, bits, message):
+        with pytest.raises(ValueError, match=message):
+            TossString(length, bits)
+
     def test_rejects_overlong(self):
         parse_toss_string("H" * 63)  # the boundary itself is fine
         with pytest.raises(ValueError):
@@ -230,6 +243,10 @@ class TestAdvance:
     def test_finished_game_is_an_error(self):
         with pytest.raises(ValueError):
             advance(state(4, 3, A, 8), H, self.auto_a, self.auto_b)
+
+    def test_after_bobs_string_appeared_is_an_error(self):
+        with pytest.raises(ValueError, match="bob's string already appeared"):
+            advance(state(2, 4, A, 8), H, self.auto_a, self.auto_b)
 
     def test_turn_and_count_always_move_together(self):
         with pytest.raises(ValueError):

@@ -1,24 +1,31 @@
 import concurrent.futures
 import functools
+from pathlib import Path
 
 import pytest
 
-from noflip import enumeration
+from noflip import enumeration, forcing
 from noflip import (
     ForceGoal,
+    ForceResult,
+    ForceStatus,
+    GameState,
+    GameTrace,
+    Outcome,
     OutcomeKind,
     Player,
+    Toss,
     TossString,
     finite_toss_bound,
     play,
 )
-from noflip.engine import _NO_WIN, _tables_for
+from noflip.analysis import Prediction
+from noflip.engine import _NO_WIN, _playout_code, _tables_for
 from noflip.enumeration import (
     DEFAULT_SWEEP_CAP,
     OutcomeCensus,
     VERIFY_SUITES,
     _exists_forcer,
-    _playout_code,
     _sweep,
     census,
     longest_finite,
@@ -57,9 +64,12 @@ CENSUS_TABLE = {
     3: (56, 26, 16, 14),
     4: (240, 64, 84, 92),
     5: (992, 290, 238, 464),
+    6: (4032, 756, 916, 2360),
+    7: (16256, 2932, 2636, 10688),
+    8: (65280, 7774, 8942, 48564),
 }
 
-LONGEST_TABLE = {1: 1, 2: 3, 3: 4, 4: 8, 5: 9}
+LONGEST_TABLE = {1: 1, 2: 3, 3: 4, 4: 8, 5: 9, 6: 13, 7: 18, 8: 22}
 
 
 class TestCensus:
@@ -139,15 +149,13 @@ class TestCensus:
 def sweep_by_pairs(n):
     """The sweep as a plain loop over every ordered pair, each classified
     by the toss-cutoff oracle: counts, longest finite game, witnesses."""
-    bound = finite_toss_bound(n)
     counts = [0, 0, 0]
     best, witnesses = 0, []
     for ai in range(1 << n):
         for bi in range(1 << n):
             if ai == bi:
                 continue
-            tables = _tables_for(n, ai) + _tables_for(n, bi)
-            result, tosses = _playout_code(*tables, n, bound)
+            result, tosses = _playout_code(n, ai, bi)
             counts[result] += 1
             if result == _NO_WIN or tosses < best:
                 continue
@@ -194,6 +202,54 @@ class TestSweepKernel:
         counts, best, witnesses = _sweep(n, DEFAULT_SWEEP_CAP, 1)
         pairs = [(TossString(n, a).text, TossString(n, b).text) for a, b in witnesses]
         assert (tuple(counts), best, pairs) == LONGER_ROWS[n]
+
+    def test_sweeps_leave_the_table_cache_alone(self):
+        # The prefix walk builds its opponent's tables uncached, so a sweep
+        # neither grows the cache nor pushes out the tables play reads.
+        _tables_for.cache_clear()
+        census(6, workers=1)
+        longest_finite(6, workers=1)
+        no_loss_strings(6, workers=1)
+        assert _tables_for.cache_info().currsize == 0
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_length_table():
+    """{n: ((alice, bob, infinite), longest, witness count, bound)} read
+    from the table in README's "Outcomes by length" section."""
+    section = README.read_text().split("## Outcomes by length", 1)[1]
+    rows = {}
+    for line in section.split("\n\n| n ", 1)[1].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        n, alice, bob, infinite, longest, witnesses, bound = (
+            int(cell) for cell in line.strip("|").split("|")
+        )
+        rows[n] = ((alice, bob, infinite), longest, witnesses, bound)
+    return rows
+
+
+def test_readme_length_table_matches_the_sweeps():
+    rows = readme_length_table()
+    assert sorted(rows) == list(range(1, 12))
+    for n, (counts, longest, witnesses, bound) in rows.items():
+        assert bound == finite_toss_bound(n)
+        if n <= 8:
+            c, stats = census(n), longest_finite(n)
+            assert counts == (c.alice_wins, c.bob_wins, c.infinite)
+            assert (longest, witnesses) == (
+                stats.max_finite_tosses,
+                len(stats.argmax_pairs),
+            )
+        else:
+            want_counts, want_longest, want_pairs = LONGER_ROWS[n]
+            assert (counts, longest, witnesses) == (
+                want_counts,
+                want_longest,
+                len(want_pairs),
+            )
 
 
 class TestLongestFinite:
@@ -300,3 +356,181 @@ class TestSweepCapEnv:
         monkeypatch.setenv("NOFLIP_SWEEP_CAP", raw)
         with pytest.raises(ValueError):
             sweep_cap_from_env()
+
+
+class TestVerifyViolations:
+    """Each suite reports an injected fault with its exact text and label.
+
+    The faults go in at length two, whose playouts are: HH/TH BobWins at
+    toss 3 with states (0,0,A,0) (1,0,B,1) (0,1,A,2) (1,2,B,3); HH/TT
+    Infinite (entry 1, period 2); HT/TH AliceWins at toss 2, where no
+    prediction fires.  The counting bound is 4.
+    """
+
+    @staticmethod
+    def patch_play(monkeypatch, target, fake):
+        """Route the playout of the pair ``target`` through ``fake``."""
+        real = enumeration.play
+
+        def play_with_fault(alice, bob):
+            outcome, trace = real(alice, bob)
+            if (alice.text, bob.text) == target:
+                return fake(outcome, trace)
+            return outcome, trace
+
+        monkeypatch.setattr(enumeration, "play", play_with_fault)
+
+    @staticmethod
+    def with_state(trace, j, state):
+        states = list(trace.states)
+        states[j] = state
+        return GameTrace(trace.tosses, tuple(states))
+
+    def test_swapped_winner(self, monkeypatch):
+        self.patch_play(
+            monkeypatch, ("HH", "TH"), lambda o, t: (Outcome.alice_wins(o.tosses), t)
+        )
+        assert verify_suite(2, "bound").violations == (
+            "HH/TH: classifiers disagree (repeat vs cutoff)",
+        )
+
+    def test_repeat_past_the_bound(self, monkeypatch):
+        self.patch_play(monkeypatch, ("HH", "TT"), lambda o, t: (Outcome.infinite(3, 2), t))
+        assert verify_suite(2, "bound").violations == (
+            "HH/TT: repeat found after the counting bound",
+        )
+
+    def test_win_past_the_bound(self, monkeypatch):
+        self.patch_play(monkeypatch, ("HH", "TH"), lambda o, t: (Outcome.bob_wins(5), t))
+        assert verify_suite(2, "bound").violations == (
+            "HH/TH: classifiers disagree (repeat vs cutoff)",
+            "HH/TH: finite game beyond the counting bound",
+        )
+
+    def test_forbidden_state(self, monkeypatch):
+        # Alice's first toss always matches her own first letter.
+        bad = GameState(0, 0, Player.BOB, 1)
+        self.patch_play(monkeypatch, ("HH", "TH"), lambda o, t: (o, self.with_state(t, 1, bad)))
+        assert verify_suite(2, "bound").violations == (
+            "HH/TH: mover progress changed by 0",
+            "HH/TH: forbidden state (0, 0, 'B')",
+            "HH/TH: automaton disagrees with scan oracle",
+        )
+
+    def test_wrong_progress_value(self, monkeypatch):
+        bad = GameState(2, 2, Player.BOB, 3)  # Alice's progress is really 1
+        self.patch_play(monkeypatch, ("HH", "TH"), lambda o, t: (o, self.with_state(t, 3, bad)))
+        assert verify_suite(2, "bound").violations == (
+            "HH/TH: mover progress changed by 2",
+            "HH/TH: automaton disagrees with scan oracle",
+        )
+
+    def test_outcome_breaks_complement_symmetry(self, monkeypatch):
+        self.patch_play(monkeypatch, ("TT", "HT"), lambda o, t: (Outcome.bob_wins(2), t))
+        # TT/HT is the complement of HH/TH, so both pairs see the fault.
+        assert verify_suite(2, "symmetry").violations == (
+            "HH/TH: outcome changes under complementation",
+            "TT/HT: outcome changes under complementation",
+        )
+
+    def test_trace_breaks_complement_symmetry(self, monkeypatch):
+        tosses = (Toss.T, Toss.T, Toss.T)
+        self.patch_play(
+            monkeypatch, ("TT", "HT"), lambda o, t: (o, GameTrace(tosses, t.states))
+        )
+        assert verify_suite(2, "symmetry").violations == (
+            "HH/TH: trace does not mirror under complementation",
+            "TT/HT: trace does not mirror under complementation",
+        )
+
+    @pytest.mark.parametrize(
+        "fired,violations",
+        [
+            (
+                [Prediction("fake-rule", OutcomeKind.BOB_WINS, 2)],
+                ("HT/TH: fake-rule predicted bob_wins",),
+            ),
+            (
+                [Prediction("fake-rule", OutcomeKind.ALICE_WINS, 3)],
+                ("HT/TH: fake-rule predicted toss 3, got 2",),
+            ),
+            (
+                [
+                    Prediction("rule-a", OutcomeKind.ALICE_WINS, 2),
+                    Prediction("rule-b", OutcomeKind.INFINITE),
+                ],
+                (
+                    "HT/TH: predictions disagree with each other",
+                    "HT/TH: rule-b predicted infinite",
+                ),
+            ),
+        ],
+        ids=["wrong-kind", "wrong-toss", "disagreeing-kinds"],
+    )
+    def test_wrong_predictions(self, monkeypatch, fired, violations):
+        real = enumeration.all_predictions
+
+        def predictions(alice, bob):
+            return fired if (alice.text, bob.text) == ("HT", "TH") else real(alice, bob)
+
+        monkeypatch.setattr(enumeration, "all_predictions", predictions)
+        assert verify_suite(2, "predicates").violations == violations
+
+    OPPONENTS = ("HH", "HT", "TH", "TT")
+
+    def test_operation_that_raises(self, monkeypatch):
+        def exploding(opponent):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(forcing._FORCERS, (Player.BOB, ForceGoal.WIN), exploding)
+        assert verify_suite(2, "forcing").violations == tuple(
+            f"exploding({o}): raised ValueError('boom')" for o in self.OPPONENTS
+        )
+
+    def test_unknown_answer(self, monkeypatch):
+        def gives_up(opponent):
+            return ForceResult(ForceStatus.UNKNOWN, "exhaustive-search")
+
+        monkeypatch.setitem(forcing._FORCERS, (Player.ALICE, ForceGoal.LOSS), gives_up)
+        assert verify_suite(2, "forcing").violations == tuple(
+            f"gives_up({o}): unknown below the search cap" for o in self.OPPONENTS
+        )
+
+    def test_found_answer_with_the_wrong_outcome(self, monkeypatch):
+        def wrong(opponent):
+            return ForceResult(ForceStatus.FOUND, "x", opponent, Outcome.bob_wins(2))
+
+        key = (Player.ALICE, ForceGoal.INFINITE_GAME)
+        monkeypatch.setitem(forcing._FORCERS, key, wrong)
+        assert verify_suite(2, "forcing").violations == tuple(
+            f"wrong({o}): outcome bob_wins" for o in self.OPPONENTS
+        )
+
+    # Alice's forced win must land by toss n, Bob's by toss n + 1.
+    @pytest.mark.parametrize(
+        "role,outcome,late",
+        [
+            (Player.ALICE, Outcome.alice_wins(3), True),
+            (Player.BOB, Outcome.bob_wins(3), False),
+            (Player.BOB, Outcome.bob_wins(4), True),
+        ],
+        ids=["alice-at-n+1", "bob-at-n+1", "bob-at-n+2"],
+    )
+    def test_found_win_that_lands_too_late(self, monkeypatch, role, outcome, late):
+        def slow(opponent):
+            return ForceResult(ForceStatus.FOUND, "x", opponent, outcome)
+
+        monkeypatch.setitem(forcing._FORCERS, (role, ForceGoal.WIN), slow)
+        expected = [f"slow({o}): win too late ({outcome.tosses})" for o in self.OPPONENTS]
+        assert verify_suite(2, "forcing").violations == (tuple(expected) if late else ())
+
+    def test_impossible_answer_where_a_forcer_exists(self, monkeypatch):
+        def refuses(opponent):
+            return ForceResult(ForceStatus.IMPOSSIBLE, "x")
+
+        monkeypatch.setitem(forcing._FORCERS, (Player.BOB, ForceGoal.WIN), refuses)
+        assert verify_suite(2, "forcing").violations == tuple(
+            f"refuses({o}): impossible but a forcer exists" for o in self.OPPONENTS
+        )
+        # A single-letter Alice always wins, so there it is the right answer.
+        assert verify_suite(1, "forcing").violations == ()

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from noflip import forcing
-from noflip.engine import OutcomeKind, Player, TossString, play
+from noflip.engine import Outcome, OutcomeKind, Player, TossString, play
 from noflip.forcing import (
     _GOAL_KINDS,
     DEFAULT_SEARCH_CAP,
@@ -378,9 +378,25 @@ class TestSearchOrder:
     # raise, not fall through to IMPOSSIBLE.
     @pytest.mark.parametrize("wrong", ["HHTH", "TTTT"])
     def test_an_answer_that_fails_its_playout_raises(self, monkeypatch, wrong):
-        monkeypatch.setattr(forcing, "_first_loss", lambda role, opp: ts(wrong).bits)
+        monkeypatch.setattr(forcing, "_first_loss", lambda role, n, opp: ts(wrong).bits)
         with pytest.raises(RuntimeError, match="fails its playout"):
             bob_force_loss(ts("HHTH"))
+
+    # A win or infinite-game rule has no search behind it: when its
+    # candidate fails the playout the operation raises, with or without -O.
+    @pytest.mark.parametrize(
+        "op,outcome",
+        [
+            (bob_force_win, Outcome.infinite(1, 2)),
+            (alice_force_win, Outcome.bob_wins(4)),
+            (bob_force_infinite, Outcome.alice_wins(4)),
+            (alice_force_infinite, Outcome.bob_wins(5)),
+        ],
+    )
+    def test_a_rule_that_fails_its_playout_raises(self, monkeypatch, op, outcome):
+        monkeypatch.setattr(forcing, "play", lambda alice, bob: (outcome, None))
+        with pytest.raises(RuntimeError, match="HHTT fails its playout; this is a bug"):
+            op(ts("HHTT"))
 
 
 class TestForceDispatch:
