@@ -79,6 +79,10 @@ class Prediction:
     tosses: int | None = None
 
 
+#: The win of the player moving on even tosses (Bob) and on odd ones (Alice).
+_MOVER_WINS = (OutcomeKind.BOB_WINS, OutcomeKind.ALICE_WINS)
+
+
 def predict_by_runs(alice: TossString, bob: TossString) -> Prediction | None:
     """Infinite-game test from run-length gaps.
 
@@ -112,9 +116,7 @@ def predict_large_overlap(alice: TossString, bob: TossString) -> Prediction | No
     if a[: n - 1] == b[: n - 1]:
         # Distinct strings sharing the first n-1 tosses differ at the last:
         # play stays synchronized and toss n goes to the mover of that turn.
-        if n % 2 == 0:
-            return Prediction("equal-but-last", OutcomeKind.BOB_WINS, tosses=n)
-        return Prediction("equal-but-last", OutcomeKind.ALICE_WINS, tosses=n)
+        return Prediction("equal-but-last", _MOVER_WINS[n % 2], tosses=n)
     if a[0] == "T":
         a, b = a.translate(_SWAP), b.translate(_SWAP)
     # One string one step behind the other: Bob spends one toss, then
@@ -134,29 +136,18 @@ def _positions_all(text: str, letter: str, parity: int) -> bool:
     )
 
 
-def _constant_opponent(
-    constant_letter: str, other: str, n: int, constant_is_alice: bool
-) -> Prediction | None:
-    x = constant_letter
-    near_match = x * (n - 1) + x.translate(_SWAP)
-    if constant_is_alice:
-        # The constant mover always repeats her letter; the opponent wins
-        # exactly when his string rides that stream from an odd or even
-        # alignment, except for the near-match string on odd lengths.
-        if other == near_match and n % 2 == 1:
-            return Prediction("constant-alice", OutcomeKind.ALICE_WINS, tosses=n)
-        if _positions_all(other, x, 1):
-            return Prediction("constant-alice", OutcomeKind.BOB_WINS, tosses=n)
-        if _positions_all(other, x, 0):
-            return Prediction("constant-alice", OutcomeKind.BOB_WINS, tosses=n + 1)
-        return Prediction("constant-alice", OutcomeKind.INFINITE)
-    if other == near_match and n % 2 == 0:
-        return Prediction("constant-bob", OutcomeKind.BOB_WINS, tosses=n)
-    if _positions_all(other, x, 0):
-        return Prediction("constant-bob", OutcomeKind.ALICE_WINS, tosses=n)
-    if _positions_all(other, x, 1):
-        return Prediction("constant-bob", OutcomeKind.ALICE_WINS, tosses=n + 1)
-    return Prediction("constant-bob", OutcomeKind.INFINITE)
+def _constant_opponent(x: str, other: str, n: int, parity: int) -> Prediction:
+    """The result against a player moving on tosses of the given parity
+    with the string all `x`: the opponent wins when their string rides
+    that stream from either alignment, but for one near-match string."""
+    rule = "constant-alice" if parity else "constant-bob"
+    if other == x * (n - 1) + x.translate(_SWAP) and n % 2 == parity:
+        return Prediction(rule, _MOVER_WINS[parity], tosses=n)
+    if _positions_all(other, x, parity):
+        return Prediction(rule, _MOVER_WINS[1 - parity], tosses=n)
+    if _positions_all(other, x, 1 - parity):
+        return Prediction(rule, _MOVER_WINS[1 - parity], tosses=n + 1)
+    return Prediction(rule, OutcomeKind.INFINITE)
 
 
 def predict_special_strings(alice: TossString, bob: TossString) -> Prediction | None:
@@ -169,17 +160,16 @@ def predict_special_strings(alice: TossString, bob: TossString) -> Prediction | 
     opponent that opens with the doubled opposite letter.
     """
     n = _validate_pair(alice, bob)
-    if alice.is_constant():
-        return _constant_opponent(alice.text[0], bob.text, n, constant_is_alice=True)
-    if bob.is_constant():
-        return _constant_opponent(bob.text[0], alice.text, n, constant_is_alice=False)
-    if n >= 2:
-        a, b = alice.text, bob.text
-        if alice.is_alternating() and b[:2] == a[0].translate(_SWAP) * 2:
-            return Prediction("alternating-vs-doubled", OutcomeKind.ALICE_WINS, tosses=n)
-        if bob.is_alternating() and a[:2] == b[0].translate(_SWAP) * 2:
+    seats = ((alice, bob, 1), (bob, alice, 0))  # (player, opponent, parity)
+    for own, other, parity in seats:
+        if own.is_constant():
+            return _constant_opponent(own.text[0], other.text, n, parity)
+    for own, other, parity in seats:
+        # An alternating Alice wins on toss n, an alternating Bob one later.
+        doubled = own.text[0].translate(_SWAP) * 2
+        if own.is_alternating() and other.text[:2] == doubled:
             return Prediction(
-                "alternating-vs-doubled", OutcomeKind.BOB_WINS, tosses=n + 1
+                "alternating-vs-doubled", _MOVER_WINS[parity], tosses=n + 1 - parity
             )
     return None
 

@@ -2,15 +2,15 @@
 
 Each operation receives the opponent's committed string and builds the
 caller's own string so that the deterministic playout ends the way the
-caller wants: a win, a loss, or an infinite game.  Constructions are
-closed-form where a shape rule applies; a loss that fits no rule goes to
-a prefix search (:func:`_first_loss`) on the engine's prefix walk
+caller wants: a win, a loss, or an infinite game.  The first shape rule
+whose hypothesis holds proposes one string; a loss that fits no rule goes
+to a prefix search (:func:`_first_loss`) on the engine's prefix walk
 (:func:`~noflip.engine._prefix_walk`).  The walk reads the caller's
 string one letter at a time, H before T, only when the game needs it, so
 one branch settles every string that shares its prefix.  The search
 returns the string a scan of all candidates in H < T order finds first.
 
-Every candidate, rule or search answer, is played against the real
+That one string, rule or search answer, is played against the real
 opponent in one place (:func:`_finish`), so a construction bug is a hard
 failure rather than a wrong answer.  Results are complement-covariant:
 forcing against the complemented opponent returns the complemented
@@ -93,13 +93,13 @@ def _finish(
     role: Player,
     goal: ForceGoal,
     opponent: TossString,
-    attempts: list[tuple[str, str]],
+    rule: tuple[str, str] | None,
     cap: int = DEFAULT_SEARCH_CAP,
 ) -> ForceResult:
-    """Answer with the first candidate that reaches the goal against the
-    real opponent: the rule candidates, (text, method) pairs written in the
-    H-first frame, then for a loss within the cap the prefix search's one
-    answer.  Only the loss rules leave gaps; any other miss is a bug."""
+    """Answer with the applying rule's one string, a (text, method) pair in
+    the H-first frame, once its playout reaches the goal.  A loss with no
+    rule, or whose rule misses, plays the prefix search's one answer within
+    the cap instead.  Only the loss rules leave gaps; any other miss is a bug."""
     n = opponent.length
     norm, mask = _normalize(opponent)
     wanted = _GOAL_KINDS[role, goal]
@@ -113,7 +113,8 @@ def _finish(
                 return ForceResult(ForceStatus.FOUND, method, own, outcome)
         return None
 
-    for text, method in attempts:
+    if rule is not None:
+        text, method = rule
         found = reaches_goal(TossString.from_text(text).bits, method)
         if found is not None:
             return found
@@ -165,19 +166,19 @@ def bob_force_win(alice: TossString) -> ForceResult:
     norm, _ = _normalize(alice)
     a = norm.text
     if norm.is_alternating():
-        attempts = [("HH" + a[1 : n - 1], "double-first-letter")]
+        rule = ("HH" + a[1 : n - 1], "double-first-letter")
     else:
         flip = a[norm.first_double() - 1].translate(_SWAP)
-        attempts = [(flip + a[: n - 1], "flip-before-first-double")]
-    return _finish(Player.BOB, ForceGoal.WIN, alice, attempts)
+        rule = (flip + a[: n - 1], "flip-before-first-double")
+    return _finish(Player.BOB, ForceGoal.WIN, alice, rule)
 
 
 def alice_force_win(bob: TossString) -> ForceResult:
     """Alice picks a string that beats the given Bob string: flip his
     first letter and copy his prefix behind it.  She wins on toss n."""
     norm, _ = _normalize(bob)
-    attempts = [("T" + norm.text[: bob.length - 1], "flip-first-letter")]
-    return _finish(Player.ALICE, ForceGoal.WIN, bob, attempts)
+    rule = ("T" + norm.text[: bob.length - 1], "flip-first-letter")
+    return _finish(Player.ALICE, ForceGoal.WIN, bob, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +191,8 @@ def bob_force_infinite(alice: TossString) -> ForceResult:
     Impossible exactly for alternating opponents of length at most 4.
     An opponent with a doubled letter is stalled by the constant string
     of the opposite letter; a long alternating opponent is stalled by
-    opening with the doubled letter and a block of three opposites.
+    opening with the doubled letter and a block of three opposites,
+    padded with T, which is never read: the game cycles in the block.
     """
     return _force_infinite(Player.BOB, alice, longest_exception=4, block="HHTTT")
 
@@ -213,15 +215,11 @@ def _force_infinite(
     if norm.is_alternating():
         if n <= longest_exception:
             return ForceResult(ForceStatus.IMPOSSIBLE, "short-alternating-exception")
-        pad = n - len(block)
-        attempts = [
-            (block + "T" * pad, "alternating-block-cycle"),
-            (block + "H" * pad, "alternating-block-cycle"),
-        ]
+        rule = (block + "T" * (n - len(block)), "alternating-block-cycle")
     else:
         doubled = norm.text[norm.first_double() - 1]
-        attempts = [(doubled.translate(_SWAP) * n, "all-opposite-letter")]
-    return _finish(role, ForceGoal.INFINITE_GAME, opponent, attempts)
+        rule = (doubled.translate(_SWAP) * n, "all-opposite-letter")
+    return _finish(role, ForceGoal.INFINITE_GAME, opponent, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -232,40 +230,34 @@ def alice_force_loss(bob: TossString, cap: int = DEFAULT_SEARCH_CAP) -> ForceRes
     """Alice picks a string that hands Bob the win.
 
     Impossible exactly when the opponent is constant with odd length.
-    Even lengths copy the opponent and flip the final toss.  Odd
-    lengths use shape rules keyed to the opponent's opening (in the
-    normalized frame: an HT start, an even run of Hs, or an odd run of
-    Hs followed by a doubled T), each shifting the opponent's string
-    onto Alice's odd-numbered turns; opponents that fit no rule go to
-    the prefix search.
+    Even lengths copy the opponent and flip the final toss.  Odd lengths
+    take the first rule that fits the opponent's opening (normalized:
+    alternating, an HT start, an even run of Hs, or an odd run of Hs
+    then TT).  Alternation is met by all Ts; the rest drop the opponent's
+    first letter (two after an HT start whose first double is HH) and pad
+    with T, falling into lockstep one (two) behind it, so the padding is
+    never read.  Opponents that fit no rule go to the prefix search.
     """
     n = bob.length
     if n % 2 == 1 and bob.is_constant():
         return ForceResult(ForceStatus.IMPOSSIBLE, "odd-length-constant-opponent")
     norm, _ = _normalize(bob)
     b = norm.text
-    attempts: list[tuple[str, str]] = []
-    if n % 2 == 0:
-        attempts.append((b[: n - 1] + b[n - 1].translate(_SWAP), "copy-flip-last"))
-    if b.startswith("HT"):
-        if norm.is_alternating():
-            attempts.append(("T" * n, "all-opposite-letter"))
-        else:
-            d = norm.first_double()
-            if b[d - 1] == "H":
-                for pads in ("TT", "TH", "HT", "HH"):
-                    attempts.append((b[2:] + pads, "drop-two-append-two"))
-            else:
-                for pad in "TH":
-                    attempts.append((b[1:] + pad, "drop-one-append-one"))
     run = norm.leading_run()
-    if run % 2 == 0:
-        for pad in "TH":
-            attempts.append((b[1:] + pad, "shift-after-even-run"))
-    elif n % 2 == 1 and run + 2 <= n and b[run] == "T" and b[run + 1] == "T":
-        for pad in "TH":
-            attempts.append((b[1:] + pad, "shift-after-odd-run"))
-    return _finish(Player.ALICE, ForceGoal.LOSS, bob, attempts, cap)
+    rule: tuple[str, str] | None = None
+    if n % 2 == 0:
+        rule = (b[: n - 1] + b[n - 1].translate(_SWAP), "copy-flip-last")
+    elif norm.is_alternating():
+        rule = ("T" * n, "all-opposite-letter")
+    elif b.startswith("HT") and b[norm.first_double() - 1] == "H":
+        rule = (b[2:] + "TT", "drop-two-append-two")
+    elif b.startswith("HT"):
+        rule = (b[1:] + "T", "drop-one-append-one")
+    elif run % 2 == 0:
+        rule = (b[1:] + "T", "shift-after-even-run")
+    elif b[run : run + 2] == "TT":
+        rule = (b[1:] + "T", "shift-after-odd-run")
+    return _finish(Player.ALICE, ForceGoal.LOSS, bob, rule, cap)
 
 
 def bob_force_loss(alice: TossString, cap: int = DEFAULT_SEARCH_CAP) -> ForceResult:
@@ -275,20 +267,20 @@ def bob_force_loss(alice: TossString, cap: int = DEFAULT_SEARCH_CAP) -> ForceRes
     handful of no-loss strings that the prefix search uncovers.  Odd
     lengths copy the opponent and flip the final toss; an opponent
     opening with an odd run of its first letter is answered by the
-    one-step shift.  Everything else goes to the prefix search.
+    one-step shift padded with T, which never reads its padding: it falls
+    into lockstep one letter behind.  The rest go to the prefix search.
     """
     n = alice.length
     if n % 2 == 0 and alice.is_constant():
         return ForceResult(ForceStatus.IMPOSSIBLE, "even-length-constant-opponent")
     norm, _ = _normalize(alice)
     a = norm.text
-    attempts: list[tuple[str, str]] = []
+    rule: tuple[str, str] | None = None
     if n % 2 == 1:
-        attempts.append((a[: n - 1] + a[n - 1].translate(_SWAP), "copy-flip-last"))
-    if norm.leading_run() % 2 == 1:
-        for pad in "TH":
-            attempts.append((a[1:] + pad, "shift-after-odd-run"))
-    return _finish(Player.BOB, ForceGoal.LOSS, alice, attempts, cap)
+        rule = (a[: n - 1] + a[n - 1].translate(_SWAP), "copy-flip-last")
+    elif norm.leading_run() % 2 == 1:
+        rule = (a[1:] + "T", "shift-after-odd-run")
+    return _finish(Player.BOB, ForceGoal.LOSS, alice, rule, cap)
 
 
 #: The operation behind each (role, goal), in the order the ``forcing``

@@ -519,7 +519,7 @@ def test_importing_the_cli_does_not_load_the_process_pool():
 
 def test_ctrl_c_during_a_parallel_sweep_leaves_no_worker():
     proc = cli_process(
-        "enumerate", "--n", "10", "--threads", "2",
+        "enumerate", "--n", "13", "--threads", "2",
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
     )
     try:
@@ -532,6 +532,7 @@ def test_ctrl_c_during_a_parallel_sweep_leaves_no_worker():
             ).stdout.split()
         assert len(workers) == 2, "the two workers never started"
         time.sleep(0.3)  # let both workers pick up their span
+        assert proc.poll() is None, "the sweep ended before the interrupt"
         os.killpg(proc.pid, signal.SIGINT)
         out, err = proc.communicate(timeout=60)
     finally:

@@ -185,6 +185,30 @@ LONGER_ROWS = {
         32,
         [("HHTTHHTHTTH", "THTHHTTHHHH"), ("TTHHTTHTHHT", "HTHTTHHTTTT")],
     ),
+    12: (
+        (639646, 704842, 15428632),
+        34,
+        [
+            ("HHHHTTHHHTTT", "THHHTHHHHTTT"),
+            ("HHHTHHHHTTTT", "THHHHTTHHHTT"),
+            ("HHTHTTHTHTTT", "THTHTHHTHTTT"),
+            ("HHTTHHTTHTTT", "THTHHTTHHTTT"),
+            ("HHTTHTHTHTTT", "THTHTHTHHTTT"),
+            ("HTHHHTHHHHHT", "THHHHTHHHTTT"),
+            ("HTHTHHTHTTTT", "THHTHTTHTHTT"),
+            ("HTHTHTHHTTTT", "THHTTHTHTHTT"),
+            ("HTTTTHTTTHHT", "THTTTHTTTTTT"),
+            ("THHHHTHHHTTH", "HTHHHTHHHHHH"),
+            ("THTHTHTTHHHH", "HTTHHTHTHTHH"),
+            ("THTHTTHTHHHH", "HTTHTHHTHTHH"),
+            ("THTTTHTTTTTH", "HTTTTHTTTHHH"),
+            ("TTHHTHTHTHHH", "HTHTHTHTTHHH"),
+            ("TTHHTTHHTHHH", "HTHTTHHTTHHH"),
+            ("TTHTHHTHTHHH", "HTHTHTTHTHHH"),
+            ("TTTHTTTTHHHH", "HTTTTHHTTTHH"),
+            ("TTTTHHTTTHHH", "HTTTHTTTTHHH"),
+        ],
+    ),
 }
 
 
@@ -199,7 +223,8 @@ class TestSweepKernel:
 
     @pytest.mark.parametrize("n", sorted(LONGER_ROWS))
     def test_longer_rows(self, n):
-        counts, best, witnesses = _sweep(n, DEFAULT_SWEEP_CAP, 1)
+        # The n = 12 row also runs the process pool with seconds per worker.
+        counts, best, witnesses = _sweep(n, DEFAULT_SWEEP_CAP, 2 if n == 12 else 1)
         pairs = [(TossString(n, a).text, TossString(n, b).text) for a, b in witnesses]
         assert (tuple(counts), best, pairs) == LONGER_ROWS[n]
 
@@ -233,7 +258,7 @@ def readme_length_table():
 
 def test_readme_length_table_matches_the_sweeps():
     rows = readme_length_table()
-    assert sorted(rows) == list(range(1, 12))
+    assert sorted(rows) == list(range(1, 13))
     for n, (counts, longest, witnesses, bound) in rows.items():
         assert bound == finite_toss_bound(n)
         if n <= 8:

@@ -399,6 +399,35 @@ class TestSearchOrder:
             op(ts("HHTT"))
 
 
+class TestRulesAnswerAlone:
+    """The first rule whose hypothesis holds proposes one string, and that
+    string is the answer: the search behind the loss rules never stands in
+    for a construction that misses."""
+
+    def test_every_rule_passed_to_finish_is_the_answer(self, monkeypatch):
+        passed = []
+        finish = forcing._finish
+
+        def spy(role, goal, opponent, rule, cap=DEFAULT_SEARCH_CAP):
+            passed.append(rule)
+            return finish(role, goal, opponent, rule, cap)
+
+        monkeypatch.setattr(forcing, "_finish", spy)
+        for n in range(1, 13):
+            for opponent in all_strings(n):
+                for role, goal in forcing._FORCERS:
+                    passed.clear()
+                    # Cap 0: a loss rule that missed would come back UNKNOWN.
+                    result = force(role, goal, opponent, cap=0)
+                    if not passed:  # a shape exception, proved without a string
+                        assert result.status is IMPOSSIBLE
+                    elif passed[0] is not None:
+                        method = passed[0][1]
+                        assert (result.status, result.method) == (FOUND, method), (
+                            role, goal, opponent.text,
+                        )
+
+
 class TestForceDispatch:
     def test_routes_by_role_and_goal(self):
         assert force(Player.BOB, ForceGoal.WIN, ts("HTHT")) == bob_force_win(ts("HTHT"))
