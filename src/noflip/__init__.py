@@ -21,10 +21,8 @@ from .engine import (
     advance,
     finite_toss_bound,
     next_choice,
-    parse_toss_string,
     play,
     scan_progress,
-    state_sequence,
 )
 from .analysis import (
     Prediction,

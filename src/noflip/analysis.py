@@ -121,10 +121,10 @@ def predict_large_overlap(alice: TossString, bob: TossString) -> Prediction | No
         a, b = a.translate(_SWAP), b.translate(_SWAP)
     # One string one step behind the other: Bob spends one toss, then
     # rides Alice's own prefix home.
-    if n >= 2 and a.startswith("HT") and b.startswith("HH") and b[1:] == a[: n - 1]:
+    if a.startswith("HT") and b.startswith("HH") and b[1:] == a[: n - 1]:
         return Prediction("one-step-shadow", OutcomeKind.BOB_WINS)
     # Two steps behind, with the doubled opening absorbed up front.
-    if n >= 4 and a[:2] == "HH" and b[:4] == "HTHH" and b[4:] == a[2 : n - 2]:
+    if a[:2] == "HH" and b[:4] == "HTHH" and b[4:] == a[2 : n - 2]:
         return Prediction("two-step-shadow", OutcomeKind.BOB_WINS)
     return None
 

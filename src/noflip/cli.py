@@ -23,7 +23,7 @@ import sys
 
 from . import enumeration, forcing
 from .analysis import all_predictions
-from .engine import MAX_LENGTH, Outcome, Player, parse_toss_string, play
+from .engine import MAX_LENGTH, Outcome, Player, TossString, play
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -94,8 +94,8 @@ def _emit(docs: list) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    alice = parse_toss_string(args.alice)
-    bob = parse_toss_string(args.bob)
+    alice = TossString.from_text(args.alice)
+    bob = TossString.from_text(args.bob)
     outcome, trace = play(alice, bob)
     predictions = all_predictions(alice, bob) if args.predict else None
     if args.format == "json":
@@ -135,7 +135,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_force(args: argparse.Namespace) -> int:
     role = Player.ALICE if args.role == "alice" else Player.BOB
-    opponent = parse_toss_string(args.opponent)
+    opponent = TossString.from_text(args.opponent)
     goal = forcing.ForceGoal(args.goal)
     result = forcing.force(role, goal, opponent, cap=args.search_cap)
     if args.format == "json":
@@ -194,8 +194,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 )
         return EXIT_OK
     if args.format == "csv":
-        print("noflip: csv output is only available for the census", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("csv output is only available for the census")
     if args.what == "longest":
         stats = [enumeration.longest_finite(n, cap=cap, workers=workers) for n in args.n]
         if args.format == "json":

@@ -28,6 +28,7 @@ the per-pair toss-cutoff oracle is :func:`_playout_code`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -38,6 +39,8 @@ _H, _T = 0, 1
 
 _SWAP = str.maketrans("HT", "TH")  # complement of a toss text
 _LETTERS = str.maketrans("01", "HT")  # binary digits of packed bits to toss text
+_DIGITS = str.maketrans("HT", "01")  # toss text to the binary digits of its bits
+_DOUBLE = re.compile("HH|TT")
 
 
 class Toss(Enum):
@@ -89,15 +92,10 @@ class TossString:
             raise ValueError(
                 f"toss string longer than {MAX_LENGTH} tosses: {len(text)}"
             )
-        bits = 0
         for ch in text:
-            if ch == "H":
-                bits = bits << 1
-            elif ch == "T":
-                bits = (bits << 1) | 1
-            else:
+            if ch not in "HT":
                 raise ValueError(f"invalid toss {ch!r} (only 'H' and 'T' allowed)")
-        return cls(len(text), bits)
+        return cls(len(text), int(text.translate(_DIGITS), 2))
 
     @property
     def text(self) -> str:
@@ -123,19 +121,13 @@ class TossString:
 
     def first_double(self) -> int | None:
         """Smallest 1-based k with position k equal to position k+1."""
-        text = self.text
-        for k in range(self.length - 1):
-            if text[k] == text[k + 1]:
-                return k + 1
-        return None
+        match = _DOUBLE.search(self.text)
+        return match.start() + 1 if match else None
 
     def leading_run(self) -> int:
         """Length of the initial run of the first toss."""
         text = self.text
-        run = 1
-        while run < self.length and text[run] == text[0]:
-            run += 1
-        return run
+        return self.length - len(text.lstrip(text[0]))
 
     def __len__(self) -> int:
         return self.length
@@ -148,11 +140,6 @@ class TossString:
 
     def __repr__(self) -> str:
         return f"TossString({self.text!r})"
-
-
-def parse_toss_string(text: str) -> TossString:
-    """Parse uppercase 'H'/'T' text into a :class:`TossString`."""
-    return TossString.from_text(text)
 
 
 def _kmp_push(
@@ -461,11 +448,6 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
     for j in range(k):
         states.append(_state(after_a[j], after_b[j], _TURNS[j & 1], j + 1))
     return outcome, GameTrace(tosses, tuple(states))
-
-
-def state_sequence(alice: TossString, bob: TossString) -> tuple[GameState, ...]:
-    """The state visited before each toss plus the terminal state."""
-    return play(alice, bob)[1].states
 
 
 def _playout_code(n: int, alice_code: int, bob_code: int) -> tuple[int, int]:

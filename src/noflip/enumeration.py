@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
+from itertools import permutations
 
 from .engine import (
     MAX_LENGTH,
@@ -50,8 +51,9 @@ def _check_sweep_args(n: int, cap: int, workers: int) -> None:
         raise ValueError(f"string length must be 1..{MAX_LENGTH}, got {n}")
     if n > cap:
         raise ValueError(
-            f"length {n} exceeds the sweep cap {cap}; raise the cap explicitly "
-            f"(or set {SWEEP_CAP_ENV}) if you really want 4^{n} games"
+            f"length {n} exceeds the sweep cap {cap}; pass cap={n} to the library "
+            f"call, or set {SWEEP_CAP_ENV}={n} for the noflip command, if you "
+            f"really want 4^{n} games"
         )
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
@@ -216,13 +218,6 @@ class VerifyReport:
         return not self.violations
 
 
-def _pairs(n: int):
-    for a_code in range(1 << n):
-        for b_code in range(1 << n):
-            if a_code != b_code:
-                yield TossString(n, a_code), TossString(n, b_code)
-
-
 _FORBIDDEN = {
     (0, 0, Player.BOB),
     (0, 1, Player.BOB),
@@ -233,9 +228,10 @@ _FORBIDDEN = {
 def _pair_suite(check, n: int) -> tuple[int, list[str]]:
     """Run a per-pair check on every ordered pair, each pair one check;
     every reason the check yields is a violation labelled with the pair."""
+    strings = [TossString(n, code) for code in range(1 << n)]
     violations = [
         f"{alice.text}/{bob.text}: {reason}"
-        for alice, bob in _pairs(n)
+        for alice, bob in permutations(strings, 2)
         for reason in check(alice, bob)
     ]
     size = 1 << n

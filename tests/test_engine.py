@@ -26,10 +26,8 @@ from noflip.engine import (
     advance,
     finite_toss_bound,
     next_choice,
-    parse_toss_string,
     play,
     scan_progress,
-    state_sequence,
 )
 
 H, T = Toss.H, Toss.T
@@ -48,6 +46,22 @@ def state(a: int, b: int, turn: Player, k: int) -> GameState:
     return GameState(a, b, turn, k)
 
 
+def oracle_first_double(text: str) -> int | None:
+    """The first doubled letter's 1-based position, compared pair by pair."""
+    for k in range(len(text) - 1):
+        if text[k] == text[k + 1]:
+            return k + 1
+    return None
+
+
+def oracle_leading_run(text: str) -> int:
+    """The opening run's length, counted letter by letter."""
+    run = 1
+    while run < len(text) and text[run] == text[0]:
+        run += 1
+    return run
+
+
 # ---------------------------------------------------------------------------
 # parsing and the packed representation
 
@@ -55,17 +69,34 @@ def state(a: int, b: int, turn: Player, k: int) -> GameState:
 class TestTossString:
     @pytest.mark.parametrize("text", ["H", "T", "HHTT", "THHH", "HT" * 31 + "H"])
     def test_round_trip(self, text):
-        assert parse_toss_string(text).text == text
+        assert TossString.from_text(text).text == text
 
     def test_round_trip_exhaustive_small(self):
         for n in range(1, 7):
             for s in all_strings(n):
                 assert TossString.from_text(s.text) == s
 
-    @pytest.mark.parametrize("bad", ["", "HXT", "ht", "H T", "htH", "0101"])
-    def test_rejects_bad_text(self, bad):
-        with pytest.raises(ValueError):
-            parse_toss_string(bad)
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            pytest.param(bad, message, id=bad if len(bad) <= 8 else "64-letters")
+            for bad, message in [
+                ("", "toss string must not be empty"),
+                ("HXT", "invalid toss 'X' (only 'H' and 'T' allowed)"),
+                ("HTx", "invalid toss 'x' (only 'H' and 'T' allowed)"),
+                ("ht", "invalid toss 'h' (only 'H' and 'T' allowed)"),
+                ("H T", "invalid toss ' ' (only 'H' and 'T' allowed)"),
+                ("htH", "invalid toss 'h' (only 'H' and 'T' allowed)"),
+                ("0101", "invalid toss '0' (only 'H' and 'T' allowed)"),
+                ("H" * 64, "toss string longer than 63 tosses: 64"),
+            ]
+        ],
+    )
+    def test_rejects_bad_text(self, bad, message):
+        # The first offending letter is named, even when a later one is bad too.
+        with pytest.raises(ValueError) as excinfo:
+            TossString.from_text(bad)
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize(
         "length,bits,message",
@@ -81,9 +112,9 @@ class TestTossString:
             TossString(length, bits)
 
     def test_rejects_overlong(self):
-        parse_toss_string("H" * 63)  # the boundary itself is fine
+        TossString.from_text("H" * 63)  # the boundary itself is fine
         with pytest.raises(ValueError):
-            parse_toss_string("H" * 64)
+            TossString.from_text("H" * 64)
 
     def test_lexicographic_order_matches_bits(self):
         texts = sorted(s.text for s in all_strings(4))
@@ -129,6 +160,19 @@ class TestTossString:
         assert s.is_constant() == constant
         assert s.leading_run() == run
         assert s.first_double() == double
+
+    def test_shape_helpers_match_letter_by_letter_oracles(self):
+        rng = random.Random(12)
+        strings = [s for n in range(1, 13) for s in all_strings(n)]
+        strings += [
+            TossString(n, rng.randrange(1 << n)) for n in range(13, 64) for _ in range(200)
+        ]
+        for s in strings:
+            double = oracle_first_double(s.text)
+            assert s.first_double() == double
+            assert s.is_alternating() == (double is None)
+            assert s.leading_run() == oracle_leading_run(s.text)
+            assert TossString.from_text(s.text) == s
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +323,11 @@ class TestPlay:
         assert trace.text == "HTHHTHHH"
 
     def test_worked_example_state_sequence(self):
-        states = state_sequence(ts("HHTT"), ts("THHH"))
+        states = play(ts("HHTT"), ts("THHH"))[1].states
         assert [(s.a, s.b, s.turn, s.k) for s in states] == WORKED_EXAMPLE_STATES
 
     def test_shared_first_character_moves_both(self):
-        states = state_sequence(ts("HHTT"), ts("HTHH"))
+        states = play(ts("HHTT"), ts("HTHH"))[1].states
         assert states[1] == state(1, 1, B, 1)
 
     def test_single_letter_game(self):

@@ -109,6 +109,16 @@ class TestCensus:
         with pytest.raises(ValueError, match="sweep cap"):
             census(3, cap=2)
 
+    def test_cap_message_names_the_remedy_of_each_audience(self, monkeypatch):
+        # The library takes its cap as an argument and never reads the
+        # variable, which only the noflip command honours.
+        n = DEFAULT_SWEEP_CAP + 1
+        monkeypatch.setenv("NOFLIP_SWEEP_CAP", str(n))
+        with pytest.raises(ValueError, match="sweep cap") as excinfo:
+            census(n)
+        assert f"cap={n}" in str(excinfo.value)
+        assert f"NOFLIP_SWEEP_CAP={n}" in str(excinfo.value)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             census(0)
