@@ -35,7 +35,6 @@ class RunProfile:
     p tosses, for 1-based p up to the string length.
     """
 
-    source: TossString
     heads: tuple[int, ...]
     tails: tuple[int, ...]
 
@@ -66,7 +65,7 @@ def run_profile(s: TossString) -> RunProfile:
             best_t = run
         heads.append(best_h)
         tails.append(best_t)
-    return RunProfile(s, tuple(heads), tuple(tails))
+    return RunProfile(tuple(heads), tuple(tails))
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,11 @@ strings end within ``finite_toss_bound(n)`` tosses, which the engine
 checks on every playout.
 
 Progress updates are answered by a precomputed pattern-matching
-automaton per string (transition table derived from the classic
-failure function), so each toss costs O(1).  The direct
-suffix-comparison formula is kept as :func:`scan_progress` and serves
-as an independent oracle for the automaton in the test suite.
+automaton per string: its Knuth-Morris-Pratt transition rows, where
+each new state copies the row of its fallback state, so each toss
+costs O(1).  The direct suffix-comparison formula is kept as
+:func:`scan_progress` and serves as an independent oracle for the
+automaton in the test suite.
 
 Every game loop lives here, and no other module reads the automaton
 tables: the sweeps and the forcing search pass string codes to
@@ -48,9 +49,6 @@ class Toss(Enum):
 
     H = "H"
     T = "T"
-
-    def complement(self) -> Toss:
-        return Toss.T if self is Toss.H else Toss.H
 
 
 class Player(Enum):
@@ -143,47 +141,38 @@ class TossString:
 
 
 def _kmp_push(
-    chars: list[int], fail: list[int], rows: list[tuple[int, int]], c: int
-) -> None:
-    """Extend a string's Knuth-Morris-Pratt tables by one character c.
+    chars: list[int], rows: list[tuple[int, int]], fallback: int, c: int
+) -> int:
+    """Extend a string's Knuth-Morris-Pratt rows by one character c.
 
-    failure[i] is the longest proper border of the first i+1 characters;
     rows[s][c] is the progress after reading toss c in progress state s.
-    The new state s copies the row of its fallback state failure[s-1],
-    which is shorter and so already built, and the failure function
-    extends along the same row: failure[s] is where that row sends c.
+    The new state copies the row of its fallback state, the longest
+    proper border of the characters before c, which is shorter and so
+    already built, and points c forward.  The next state's fallback is
+    where that row sends c, which is returned (0 for the first letter).
     """
     state = len(rows)
-    if state:
-        row = rows[fail[state - 1]]
-        fail.append(row[c])
-    else:
-        row = (0, 0)
-        fail.append(0)
+    row = rows[fallback] if state else (0, 0)
     rows.append((row[0], state + 1) if c else (state + 1, row[1]))
     chars.append(c)
+    return row[c]
 
 
 def _kmp_tables(
     length: int, bits: int
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """The string as 0 (H) / 1 (T) characters, first toss first, with its
-    failure function and transition rows, built one character at a time
-    by :func:`_kmp_push`."""
+    transition rows, built one character at a time by :func:`_kmp_push`."""
     chars: list[int] = []
-    fail: list[int] = []
     rows: list[tuple[int, int]] = []
+    fallback = 0
     for j in range(length):
-        _kmp_push(chars, fail, rows, (bits >> (length - 1 - j)) & 1)
-    return tuple(chars), tuple(fail), tuple(rows)
+        fallback = _kmp_push(chars, rows, fallback, (bits >> (length - 1 - j)) & 1)
+    return tuple(chars), tuple(rows)
 
 
-@lru_cache(maxsize=4096)
-def _tables_for(length: int, bits: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Cached characters and rows, no failure function, for :func:`play`
-    and :func:`_playout_code`: the loops that meet the same strings again."""
-    chars, _, rows = _kmp_tables(length, bits)
-    return chars, rows
+# Cached for play and _playout_code, the loops that meet the same strings again.
+_tables_for = lru_cache(maxsize=4096)(_kmp_tables)
 
 
 @dataclass(frozen=True)
@@ -197,13 +186,11 @@ class ProgressAutomaton:
     """
 
     pattern: TossString
-    failure: tuple[int, ...]
     table: tuple[tuple[int, int], ...]
 
     @classmethod
     def build(cls, pattern: TossString) -> ProgressAutomaton:
-        _, fail, rows = _kmp_tables(pattern.length, pattern.bits)
-        return cls(pattern, fail, rows)
+        return cls(pattern, _kmp_tables(pattern.length, pattern.bits)[1])
 
     def step(self, state: int, toss: Toss) -> int:
         if not 0 <= state < self.pattern.length:
@@ -476,7 +463,8 @@ def _prefix_walk(n: int, own_turn: int, opp_code: int, leaf):
     The walk plays the game with the searcher's string known only up to a
     prefix.  It reads the next letter, H before T, only when the
     searcher's progress reaches the end of the prefix, pushing that
-    letter's Knuth-Morris-Pratt row and popping it on the way back.  A
+    letter's Knuth-Morris-Pratt row and popping it on the way back; each
+    call carries the fallback state that its next letter's row copies.  A
     branch ends at a win (``result`` is the winner's turn parity) or when
     a (progress, progress, turn) triplet repeats on the path (``_NO_WIN``):
     every completion of the prefix then plays the same infinite game.  So
@@ -487,13 +475,12 @@ def _prefix_walk(n: int, own_turn: int, opp_code: int, leaf):
     winning on the same toss: only that tie at toss n, reported as a
     searcher win, settles the opponent's own string.
     """
-    opp_chars, _, opp_rows = _kmp_tables(n, opp_code)
+    opp_chars, opp_rows = _kmp_tables(n, opp_code)
     chars: list[int] = []
-    fail: list[int] = []
     rows: list[tuple[int, int]] = []
     path: set[tuple[int, int, int]] = set()
 
-    def walk(p: int, q: int, turn: int, code: int):
+    def walk(p: int, q: int, turn: int, code: int, fallback: int):
         added = []
         depth = len(rows)
         try:
@@ -510,10 +497,9 @@ def _prefix_walk(n: int, own_turn: int, opp_code: int, leaf):
                 if p == n or q == n:
                     return leaf(code, depth, own_turn ^ (p != n), len(path))
             for c in (0, 1):
-                _kmp_push(chars, fail, rows, c)
-                found = walk(p, q, turn, code << 1 | c)
+                after = _kmp_push(chars, rows, fallback, c)
+                found = walk(p, q, turn, code << 1 | c, after)
                 chars.pop()
-                fail.pop()
                 rows.pop()
                 if found is not None:
                     return found
@@ -521,4 +507,4 @@ def _prefix_walk(n: int, own_turn: int, opp_code: int, leaf):
         finally:
             path.difference_update(added)
 
-    return walk(0, 0, 0, 0)
+    return walk(0, 0, 0, 0, 0)

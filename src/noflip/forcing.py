@@ -82,11 +82,9 @@ _GOAL_KINDS = {
 }
 
 
-def _normalize(opponent: TossString) -> tuple[TossString, int]:
-    """The opponent in the frame where it starts with H, plus the XOR
-    mask that maps string codes into and out of that frame."""
-    mask = (1 << opponent.length) - 1 if opponent.at(1) is Toss.T else 0
-    return TossString(opponent.length, opponent.bits ^ mask), mask
+def _normalize(opponent: TossString) -> TossString:
+    """The opponent in the frame where it starts with H."""
+    return opponent.complement() if opponent.at(1) is Toss.T else opponent
 
 
 def _finish(
@@ -101,7 +99,8 @@ def _finish(
     rule, or whose rule misses, plays the prefix search's one answer within
     the cap instead.  Only the loss rules leave gaps; any other miss is a bug."""
     n = opponent.length
-    norm, mask = _normalize(opponent)
+    norm = _normalize(opponent)
+    mask = norm.bits ^ opponent.bits  # maps string codes into and out of that frame
     wanted = _GOAL_KINDS[role, goal]
 
     def reaches_goal(code: int, method: str) -> ForceResult | None:
@@ -163,7 +162,7 @@ def bob_force_win(alice: TossString) -> ForceResult:
     n = alice.length
     if n == 1:
         return ForceResult(ForceStatus.IMPOSSIBLE, "single-letter-alice-always-wins")
-    norm, _ = _normalize(alice)
+    norm = _normalize(alice)
     a = norm.text
     if norm.is_alternating():
         rule = ("HH" + a[1 : n - 1], "double-first-letter")
@@ -176,7 +175,7 @@ def bob_force_win(alice: TossString) -> ForceResult:
 def alice_force_win(bob: TossString) -> ForceResult:
     """Alice picks a string that beats the given Bob string: flip his
     first letter and copy his prefix behind it.  She wins on toss n."""
-    norm, _ = _normalize(bob)
+    norm = _normalize(bob)
     rule = ("T" + norm.text[: bob.length - 1], "flip-first-letter")
     return _finish(Player.ALICE, ForceGoal.WIN, bob, rule)
 
@@ -211,7 +210,7 @@ def _force_infinite(
     role: Player, opponent: TossString, longest_exception: int, block: str
 ) -> ForceResult:
     n = opponent.length
-    norm, _ = _normalize(opponent)
+    norm = _normalize(opponent)
     if norm.is_alternating():
         if n <= longest_exception:
             return ForceResult(ForceStatus.IMPOSSIBLE, "short-alternating-exception")
@@ -241,7 +240,7 @@ def alice_force_loss(bob: TossString, cap: int = DEFAULT_SEARCH_CAP) -> ForceRes
     n = bob.length
     if n % 2 == 1 and bob.is_constant():
         return ForceResult(ForceStatus.IMPOSSIBLE, "odd-length-constant-opponent")
-    norm, _ = _normalize(bob)
+    norm = _normalize(bob)
     b = norm.text
     run = norm.leading_run()
     rule: tuple[str, str] | None = None
@@ -273,7 +272,7 @@ def bob_force_loss(alice: TossString, cap: int = DEFAULT_SEARCH_CAP) -> ForceRes
     n = alice.length
     if n % 2 == 0 and alice.is_constant():
         return ForceResult(ForceStatus.IMPOSSIBLE, "even-length-constant-opponent")
-    norm, _ = _normalize(alice)
+    norm = _normalize(alice)
     a = norm.text
     rule: tuple[str, str] | None = None
     if n % 2 == 1:

@@ -245,10 +245,25 @@ class TestProgressAutomaton:
         with pytest.raises(ValueError):
             auto.step(-1, H)
 
-    def test_failure_table_shape(self):
+    def test_rows_written_out_by_hand(self):
+        # State 2 (HH) stays at HH on H; every other mismatch falls to 0.
         auto = ProgressAutomaton.build(ts("HHTHH"))
-        assert len(auto.failure) == 5
-        assert auto.failure == (0, 1, 0, 1, 2)
+        assert auto.table == ((1, 0), (2, 0), (2, 3), (4, 0), (5, 0))
+
+    def test_every_row_matches_the_scan_oracle(self):
+        rng = random.Random(1977)
+        strings = [s for n in range(1, 11) for s in all_strings(n)]
+        strings += [
+            TossString(n, rng.getrandbits(n)) for n in range(11, 64) for _ in range(8)
+        ]
+        for s in strings:
+            text, table = s.text, ProgressAutomaton.build(s).table
+            assert len(table) == s.length
+            for state_, row in enumerate(table):
+                for x, target in zip("HT", row):
+                    assert target == scan_progress(text, text[:state_] + x), (
+                        text, state_, x,
+                    )
 
 
 # ---------------------------------------------------------------------------
