@@ -36,8 +36,6 @@ from functools import lru_cache
 
 MAX_LENGTH = 63  # a packed toss string must fit in one machine word
 
-_H, _T = 0, 1
-
 _SWAP = str.maketrans("HT", "TH")  # complement of a toss text
 _LETTERS = str.maketrans("01", "HT")  # binary digits of packed bits to toss text
 _DIGITS = str.maketrans("HT", "01")  # toss text to the binary digits of its bits
@@ -55,8 +53,9 @@ class Player(Enum):
     ALICE = "A"
     BOB = "B"
 
-    def opponent(self) -> Player:
-        return Player.BOB if self is Player.ALICE else Player.ALICE
+
+_TOSSES = (Toss.H, Toss.T)  # a toss by its code, H=0 and T=1
+_TURNS = (Player.ALICE, Player.BOB)  # whose turn after k tosses, by k & 1
 
 
 @dataclass(frozen=True, repr=False)
@@ -104,7 +103,7 @@ class TossString:
         """Toss at 1-based position ``i``."""
         if not 1 <= i <= self.length:
             raise ValueError(f"position {i} out of range 1..{self.length}")
-        return Toss.T if (self.bits >> (self.length - i)) & 1 else Toss.H
+        return _TOSSES[(self.bits >> (self.length - i)) & 1]
 
     def complement(self) -> TossString:
         mask = (1 << self.length) - 1
@@ -197,7 +196,9 @@ class ProgressAutomaton:
             raise ValueError(
                 f"progress {state} out of range 0..{self.pattern.length - 1}"
             )
-        return self.table[state][_T if toss is Toss.T else _H]
+        if toss not in _TOSSES:
+            raise ValueError(f"toss {toss!r} is not a Toss")
+        return self.table[state][toss is Toss.T]
 
 
 def scan_progress(pattern: str, output: str) -> int:
@@ -213,43 +214,41 @@ def scan_progress(pattern: str, output: str) -> int:
 
 @dataclass(frozen=True)
 class GameState:
-    """Snapshot after toss k: both progress values and whose turn is next.
+    """Snapshot after toss k: both progress values and the toss count.
 
-    Alice moves on odd tosses, so it is her turn exactly when k is even;
-    the constructor rejects inconsistent turn/k combinations.
+    Whose turn is next is the toss count's parity, not a stored field:
+    Alice moves on odd tosses, so it is her turn exactly when k is even.
     """
 
     a: int
     b: int
-    turn: Player
     k: int
 
     def __post_init__(self) -> None:
         if self.a < 0 or self.b < 0 or self.k < 0:
             raise ValueError("progress values and toss count must be non-negative")
-        if (self.k % 2 == 0) != (self.turn is Player.ALICE):
-            raise ValueError(
-                f"turn {self.turn.value} inconsistent with toss count {self.k}"
-            )
+
+    @property
+    def turn(self) -> Player:
+        return _TURNS[self.k & 1]
 
     @property
     def triplet(self) -> tuple[int, int, Player]:
         return (self.a, self.b, self.turn)
 
 
-START_STATE = GameState(0, 0, Player.ALICE, 0)
+START_STATE = GameState(0, 0, 0)
 
 _new = object.__new__
 _set = object.__setattr__
 
 
-def _state(a: int, b: int, turn: Player, k: int) -> GameState:
+def _state(a: int, b: int, k: int) -> GameState:
     """A :class:`GameState` without the ``__post_init__`` checks, for
     states that :func:`play` makes consistent by construction."""
     s = _new(GameState)
     _set(s, "a", a)
     _set(s, "b", b)
-    _set(s, "turn", turn)
     _set(s, "k", k)
     return s
 
@@ -300,18 +299,12 @@ class Outcome:
 
     @property
     def winner(self) -> Player | None:
-        if self.kind is OutcomeKind.ALICE_WINS:
-            return Player.ALICE
-        if self.kind is OutcomeKind.BOB_WINS:
-            return Player.BOB
-        return None
+        return None if self.is_infinite else _TURNS[_RESULT_CODES[self.kind]]
 
     def describe(self) -> str:
-        if self.kind is OutcomeKind.ALICE_WINS:
-            return f"AliceWins at toss {self.tosses}"
-        if self.kind is OutcomeKind.BOB_WINS:
-            return f"BobWins at toss {self.tosses}"
-        return f"Infinite (entry {self.entry}, period {self.period})"
+        if self.is_infinite:
+            return f"Infinite (entry {self.entry}, period {self.period})"
+        return f"{self.winner.name.title()}Wins at toss {self.tosses}"
 
 
 @dataclass(frozen=True)
@@ -352,7 +345,7 @@ def advance(
     alice_automaton: ProgressAutomaton,
     bob_automaton: ProgressAutomaton,
 ) -> GameState:
-    """Apply one toss to both progress trackers and flip the turn."""
+    """Apply one toss to both progress trackers and count it."""
     if state.a >= alice_automaton.pattern.length:
         raise ValueError("alice's string already appeared; cannot advance")
     if state.b >= bob_automaton.pattern.length:
@@ -360,7 +353,6 @@ def advance(
     return GameState(
         alice_automaton.step(state.a, toss),
         bob_automaton.step(state.b, toss),
-        state.turn.opponent(),
         state.k + 1,
     )
 
@@ -373,10 +365,6 @@ def _validate_pair(alice: TossString, bob: TossString) -> int:
     if alice == bob:
         raise ValueError("the two strings must be distinct")
     return alice.length
-
-
-_TOSSES = (Toss.H, Toss.T)
-_TURNS = (Player.BOB, Player.ALICE)  # whose turn after toss j + 1, by j & 1
 
 
 def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
@@ -433,7 +421,7 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
     tosses = tuple([_TOSSES[c] for c in codes])
     states = [START_STATE]
     for j in range(k):
-        states.append(_state(after_a[j], after_b[j], _TURNS[j & 1], j + 1))
+        states.append(_state(after_a[j], after_b[j], j + 1))
     return outcome, GameTrace(tosses, tuple(states))
 
 
@@ -454,11 +442,11 @@ def _playout_code(n: int, alice_code: int, bob_code: int) -> tuple[int, int]:
     return _NO_WIN, k
 
 
-def _prefix_walk(n: int, own_turn: int, opp_code: int, leaf):
-    """Play a fixed opponent against every searcher string of length n at
-    once; the searcher moves on turns of parity ``own_turn``.  At each
-    branch end call ``leaf(prefix_code, prefix_len, result, tosses)``, and
-    return the first value that is not None.
+def _prefix_walk(n: int, searcher: Player, opp_code: int, leaf):
+    """Play a fixed opponent against every string of length n of the
+    player ``searcher`` at once.  At each branch end call
+    ``leaf(prefix_code, prefix_len, result, tosses)``, and return the
+    first value that is not None.
 
     The walk plays the game with the searcher's string known only up to a
     prefix.  It reads the next letter, H before T, only when the
@@ -469,22 +457,25 @@ def _prefix_walk(n: int, own_turn: int, opp_code: int, leaf):
     a (progress, progress, turn) triplet repeats on the path (``_NO_WIN``):
     every completion of the prefix then plays the same infinite game.  So
     a branch end settles ``1 << (n - prefix_len)`` strings, in H < T
-    order; ``tosses`` counts the path's triplets, one per toss played.
-    While the prefix is a prefix of the opponent's string, both progress
-    values stay equal, so the opponent cannot win without the searcher
-    winning on the same toss: only that tie at toss n, reported as a
-    searcher win, settles the opponent's own string.
+    order; ``tosses`` counts the path's triplets, one per toss played, and
+    its parity says whose turn it is.  While the prefix is a
+    prefix of the opponent's string, both progress values stay equal, so
+    the opponent cannot win without the searcher winning on the same toss:
+    only that tie at toss n, reported as a searcher win, settles the
+    opponent's own string.
     """
     opp_chars, opp_rows = _kmp_tables(n, opp_code)
     chars: list[int] = []
     rows: list[tuple[int, int]] = []
     path: set[tuple[int, int, int]] = set()
+    own_turn = _TURNS.index(searcher)
 
-    def walk(p: int, q: int, turn: int, code: int, fallback: int):
+    def walk(p: int, q: int, code: int, fallback: int):
         added = []
         depth = len(rows)
         try:
             while p < depth:
+                turn = len(path) & 1
                 key = (p, q, turn)
                 if key in path:
                     return leaf(code, depth, _NO_WIN, len(path))
@@ -493,12 +484,11 @@ def _prefix_walk(n: int, own_turn: int, opp_code: int, leaf):
                 c = chars[p] if turn == own_turn else opp_chars[q]
                 p = rows[p][c]
                 q = opp_rows[q][c]
-                turn ^= 1
                 if p == n or q == n:
                     return leaf(code, depth, own_turn ^ (p != n), len(path))
             for c in (0, 1):
                 after = _kmp_push(chars, rows, fallback, c)
-                found = walk(p, q, turn, code << 1 | c, after)
+                found = walk(p, q, code << 1 | c, after)
                 chars.pop()
                 rows.pop()
                 if found is not None:
@@ -507,4 +497,4 @@ def _prefix_walk(n: int, own_turn: int, opp_code: int, leaf):
         finally:
             path.difference_update(added)
 
-    return walk(0, 0, 0, 0, 0)
+    return walk(0, 0, 0, 0)

@@ -100,7 +100,7 @@ def _sweep_chunk(args: tuple[int, int, int]) -> tuple[list[int], int, list]:
                 at_best.clear()
             at_best.append((ai, range(code << shift, (code + 1) << shift)))
 
-        _prefix_walk(n, _BOB_WIN, ai, leaf)
+        _prefix_walk(n, Player.BOB, ai, leaf)
     return counts, best, [(ai, bi) for ai, bobs in at_best for bi in bobs]
 
 

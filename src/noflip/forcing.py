@@ -36,6 +36,7 @@ from .engine import (
     Player,
     Toss,
     TossString,
+    _RESULT_CODES,
     _SWAP,
     _prefix_walk,
     play,
@@ -138,12 +139,12 @@ def _first_loss(role: Player, n: int, opponent_code: int) -> int | None:
     string does.  The first branch end of
     :func:`~noflip.engine._prefix_walk` that the opponent wins holds it,
     its prefix padded with H."""
-    own_turn = 0 if role is Player.ALICE else 1
+    lost = _RESULT_CODES[_GOAL_KINDS[role, ForceGoal.LOSS]]
 
     def leaf(code: int, length: int, result: int, tosses: int) -> int | None:
-        return code << (n - length) if result == own_turn ^ 1 else None
+        return code << (n - length) if result == lost else None
 
-    return _prefix_walk(n, own_turn, opponent_code, leaf)
+    return _prefix_walk(n, role, opponent_code, leaf)
 
 
 # ---------------------------------------------------------------------------

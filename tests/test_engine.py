@@ -43,7 +43,10 @@ def all_strings(n: int) -> list[TossString]:
 
 
 def state(a: int, b: int, turn: Player, k: int) -> GameState:
-    return GameState(a, b, turn, k)
+    """The state after k tosses, checked to be ``turn``'s move."""
+    s = GameState(a, b, k)
+    assert s.turn is turn
+    return s
 
 
 def oracle_first_double(text: str) -> int | None:
@@ -245,6 +248,14 @@ class TestProgressAutomaton:
         with pytest.raises(ValueError):
             auto.step(-1, H)
 
+    def test_step_rejects_a_toss_that_is_not_a_toss(self):
+        # Only a Toss steps: a letter or None is an error, never a toss code.
+        auto = ProgressAutomaton.build(ts("HT"))
+        with pytest.raises(ValueError, match="'T'"):
+            auto.step(0, "T")
+        with pytest.raises(ValueError, match="None"):
+            auto.step(0, None)
+
     def test_rows_written_out_by_hand(self):
         # State 2 (HH) stays at HH on H; every other mismatch falls to 0.
         auto = ProgressAutomaton.build(ts("HHTHH"))
@@ -307,11 +318,14 @@ class TestAdvance:
         with pytest.raises(ValueError, match="bob's string already appeared"):
             advance(state(2, 4, A, 8), H, self.auto_a, self.auto_b)
 
+    def test_a_letter_is_not_a_toss(self):
+        with pytest.raises(ValueError, match="'H'"):
+            advance(START_STATE, "H", self.auto_a, self.auto_b)
+
     def test_turn_and_count_always_move_together(self):
-        with pytest.raises(ValueError):
+        assert [GameState(0, 0, k).turn for k in range(4)] == [A, B, A, B]
+        with pytest.raises(TypeError):
             GameState(1, 0, A, 1)
-        with pytest.raises(ValueError):
-            GameState(0, 0, B, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +569,10 @@ class TestPlayoutInvariants:
     def test_public_state_constructor_still_checks_the_turn(self):
         _, trace = play(ts("HHTT"), ts("THHH"))
         for s in trace.states:
-            flipped = A if s.turn is B else B
-            with pytest.raises(ValueError):
-                GameState(s.a, s.b, flipped, s.k)
+            assert s == GameState(s.a, s.b, s.k)
+            assert s.turn is (A, B)[s.k % 2]
         with pytest.raises(ValueError):
-            GameState(-1, 0, A, 0)
+            GameState(-1, 0, 0)
 
 
 def stepwise_playout(alice, bob, auto_a, auto_b):

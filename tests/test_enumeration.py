@@ -20,7 +20,7 @@ from noflip import (
     play,
 )
 from noflip.analysis import Prediction
-from noflip.engine import _NO_WIN, _playout_code, _tables_for
+from noflip.engine import _NO_WIN, _playout_code, _prefix_walk, _tables_for
 from noflip.enumeration import (
     DEFAULT_SWEEP_CAP,
     OutcomeCensus,
@@ -247,6 +247,28 @@ class TestSweepKernel:
         no_loss_strings(6, workers=1)
         assert _tables_for.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_alice_searching_matches_the_per_pair_oracle(self, n):
+        # The sweeps walk with Bob searching; the forcing search also walks
+        # as Alice, so hold that side to the cutoff oracle too.
+        for bob in range(1 << n):
+            settled = {}
+
+            def leaf(code, length, result, tosses):
+                shift = n - length
+                for a in range(code << shift, (code + 1) << shift):
+                    assert a not in settled
+                    settled[a] = result, tosses
+
+            assert _prefix_walk(n, Player.ALICE, bob, leaf) is None
+            assert sorted(settled) == list(range(1 << n))
+            for a, (result, tosses) in settled.items():
+                if a != bob:
+                    want, played = _playout_code(n, a, bob)
+                    assert result == want, (n, a, bob)
+                    if result != _NO_WIN:
+                        assert tosses == played, (n, a, bob)
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -287,6 +309,27 @@ def test_readme_length_table_matches_the_sweeps():
             )
 
 
+def readme_no_loss_counts():
+    """{n: count} read from the no-loss table in README: its header row of
+    lengths sits two lines above the row of counts."""
+    lines = README.read_text().splitlines()
+    i = next(
+        i for i, line in enumerate(lines) if line.startswith("| no-loss strings |")
+    )
+    lengths, counts = (
+        [int(cell) for cell in lines[j].strip("|").split("|")[1:]] for j in (i - 2, i)
+    )
+    return dict(zip(lengths, counts))
+
+
+def test_readme_no_loss_table_matches_the_sweep():
+    counts = readme_no_loss_counts()
+    assert sorted(counts) == list(range(2, 15, 2))
+    # n = 14 takes seconds, so its row stays unchecked here.
+    for n in range(2, 13, 2):
+        assert len(no_loss_strings(n)) == counts[n], n
+
+
 class TestLongestFinite:
     @pytest.mark.parametrize("n", sorted(LONGEST_TABLE))
     def test_known_maxima(self, n):
@@ -323,7 +366,7 @@ class TestNoLossStrings:
     def test_length_six(self):
         assert no_loss_strings(6) == [ts("HHHHTT"), ts("HHTHTT"), ts("HHTTTT")]
 
-    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("n", range(1, 14, 2))
     def test_odd_lengths_have_none(self, n):
         assert no_loss_strings(n) == []
 
@@ -444,7 +487,7 @@ class TestVerifyViolations:
 
     def test_forbidden_state(self, monkeypatch):
         # Alice's first toss always matches her own first letter.
-        bad = GameState(0, 0, Player.BOB, 1)
+        bad = GameState(0, 0, 1)
         self.patch_play(monkeypatch, ("HH", "TH"), lambda o, t: (o, self.with_state(t, 1, bad)))
         assert verify_suite(2, "bound").violations == (
             "HH/TH: mover progress changed by 0",
@@ -453,7 +496,7 @@ class TestVerifyViolations:
         )
 
     def test_wrong_progress_value(self, monkeypatch):
-        bad = GameState(2, 2, Player.BOB, 3)  # Alice's progress is really 1
+        bad = GameState(2, 2, 3)  # Alice's progress is really 1
         self.patch_play(monkeypatch, ("HH", "TH"), lambda o, t: (o, self.with_state(t, 3, bad)))
         assert verify_suite(2, "bound").violations == (
             "HH/TH: mover progress changed by 2",
