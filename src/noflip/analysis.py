@@ -10,21 +10,23 @@ covered:
   more (in opposite directions), neither string can ever complete and
   the game is infinite.
 * ``predict_large_overlap`` — heavily overlapping strings: equal
-  except for the last toss (winner decided by the parity of the
-  length), or one string trailing the other by one or two positions.
+  except for the last toss (won by whoever names toss n), or one
+  string trailing the other by one or two positions.
 * ``predict_special_strings`` — one string constant, or one string
   alternating against an opponent that opens with the doubled
   opposite letter.
 
 Every fired prediction is checked against the real playout by the
-enumeration module's ``predicates`` verification suite.
+enumeration module's ``predicates`` verification suite.  A player's
+seat is their place in the engine's turn order (Alice 0, Bob 1), and a
+seat's win is the outcome kind in the same place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import OutcomeKind, TossString, _SWAP, _validate_pair
+from .engine import OutcomeKind, TossString, _KINDS, _SWAP, _seat, _validate_pair
 
 
 @dataclass(frozen=True)
@@ -78,10 +80,6 @@ class Prediction:
     tosses: int | None = None
 
 
-#: The win of the player moving on even tosses (Bob) and on odd ones (Alice).
-_MOVER_WINS = (OutcomeKind.BOB_WINS, OutcomeKind.ALICE_WINS)
-
-
 def predict_by_runs(alice: TossString, bob: TossString) -> Prediction | None:
     """Infinite-game test from run-length gaps.
 
@@ -104,18 +102,18 @@ def predict_by_runs(alice: TossString, bob: TossString) -> Prediction | None:
 def predict_large_overlap(alice: TossString, bob: TossString) -> Prediction | None:
     """Predictions for strings that overlap on almost every position.
 
-    Applies, in order: equal except for the final toss (the parity of n
-    hands the winning toss to one player); Bob shadowing Alice one
-    position behind; Bob shadowing two positions behind.  The shadow
-    rules are stated for an Alice string that opens with H and apply to
-    the other half by complementing both strings.
+    Applies, in order: equal except for the final toss (whoever names
+    toss n wins on it); Bob shadowing Alice one position behind; Bob
+    shadowing two positions behind.  The shadow rules are stated for an
+    Alice string that opens with H and apply to the other half by
+    complementing both strings.
     """
     n = _validate_pair(alice, bob)
     a, b = alice.text, bob.text
     if a[: n - 1] == b[: n - 1]:
         # Distinct strings sharing the first n-1 tosses differ at the last:
         # play stays synchronized and toss n goes to the mover of that turn.
-        return Prediction("equal-but-last", _MOVER_WINS[n % 2], tosses=n)
+        return Prediction("equal-but-last", _KINDS[_seat(n)], tosses=n)
     if a[0] == "T":
         a, b = a.translate(_SWAP), b.translate(_SWAP)
     # One string one step behind the other: Bob spends one toss, then
@@ -128,24 +126,22 @@ def predict_large_overlap(alice: TossString, bob: TossString) -> Prediction | No
     return None
 
 
-def _positions_all(text: str, letter: str, parity: int) -> bool:
-    """True when every 1-based position of the given parity holds `letter`."""
-    return all(
-        ch == letter for i, ch in enumerate(text, start=1) if i % 2 == parity
-    )
+def _positions_all(text: str, letter: str, seat: int) -> bool:
+    """True when `letter` is at every 1-based position the seat names."""
+    return all(ch == letter for i, ch in enumerate(text, start=1) if _seat(i) == seat)
 
 
-def _constant_opponent(x: str, other: str, n: int, parity: int) -> Prediction:
-    """The result against a player moving on tosses of the given parity
-    with the string all `x`: the opponent wins when their string rides
-    that stream from either alignment, but for one near-match string."""
-    rule = "constant-alice" if parity else "constant-bob"
-    if other == x * (n - 1) + x.translate(_SWAP) and n % 2 == parity:
-        return Prediction(rule, _MOVER_WINS[parity], tosses=n)
-    if _positions_all(other, x, parity):
-        return Prediction(rule, _MOVER_WINS[1 - parity], tosses=n)
-    if _positions_all(other, x, 1 - parity):
-        return Prediction(rule, _MOVER_WINS[1 - parity], tosses=n + 1)
+def _constant_opponent(x: str, other: str, n: int, seat: int) -> Prediction:
+    """The result against the player in the given seat with the string
+    all `x`: the opponent wins when their string rides that stream from
+    either alignment, but for one near-match string."""
+    rule = "constant-bob" if seat else "constant-alice"
+    if other == x * (n - 1) + x.translate(_SWAP) and _seat(n) == seat:
+        return Prediction(rule, _KINDS[seat], tosses=n)
+    if _positions_all(other, x, seat):
+        return Prediction(rule, _KINDS[1 - seat], tosses=n)
+    if _positions_all(other, x, 1 - seat):
+        return Prediction(rule, _KINDS[1 - seat], tosses=n + 1)
     return Prediction(rule, OutcomeKind.INFINITE)
 
 
@@ -153,22 +149,22 @@ def predict_special_strings(alice: TossString, bob: TossString) -> Prediction | 
     """Predictions for constant and alternating strings.
 
     A constant string settles every game: the opponent wins if their
-    string matches the constant letter on all odd or all even
-    positions (with one near-match exception decided by parity), and
-    otherwise the game is infinite.  An alternating string beats any
-    opponent that opens with the doubled opposite letter.
+    string holds the constant letter at every toss one seat names (but
+    for one near-match, which the constant player beats when naming toss
+    n), and otherwise the game is infinite.  An alternating string beats
+    any opponent that opens with the doubled opposite letter.
     """
     n = _validate_pair(alice, bob)
-    seats = ((alice, bob, 1), (bob, alice, 0))  # (player, opponent, parity)
-    for own, other, parity in seats:
+    seats = ((alice, bob, 0), (bob, alice, 1))  # (player, opponent, seat)
+    for own, other, seat in seats:
         if own.is_constant():
-            return _constant_opponent(own.text[0], other.text, n, parity)
-    for own, other, parity in seats:
+            return _constant_opponent(own.text[0], other.text, n, seat)
+    for own, other, seat in seats:
         # An alternating Alice wins on toss n, an alternating Bob one later.
         doubled = own.text[0].translate(_SWAP) * 2
         if own.is_alternating() and other.text[:2] == doubled:
             return Prediction(
-                "alternating-vs-doubled", _MOVER_WINS[parity], tosses=n + 1 - parity
+                "alternating-vs-doubled", _KINDS[seat], tosses=n + seat
             )
     return None
 

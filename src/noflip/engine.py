@@ -55,7 +55,12 @@ class Player(Enum):
 
 
 _TOSSES = (Toss.H, Toss.T)  # a toss by its code, H=0 and T=1
-_TURNS = (Player.ALICE, Player.BOB)  # whose turn after k tosses, by k & 1
+_TURNS = (Player.ALICE, Player.BOB)  # a player by seat, Alice 0 and Bob 1
+
+
+def _seat(k: int) -> int:
+    """The seat of whoever names toss k: Alice names the odd tosses."""
+    return (k - 1) & 1
 
 
 @dataclass(frozen=True, repr=False)
@@ -259,12 +264,8 @@ class OutcomeKind(Enum):
     INFINITE = "infinite"
 
 
-_ALICE_WIN, _BOB_WIN, _NO_WIN = 0, 1, 2  # a win is the winner's turn parity
-_RESULT_CODES = {
-    OutcomeKind.ALICE_WINS: _ALICE_WIN,
-    OutcomeKind.BOB_WINS: _BOB_WIN,
-    OutcomeKind.INFINITE: _NO_WIN,
-}
+_KINDS = tuple(OutcomeKind)  # by result code; a win's code is the winner's seat
+_ALICE_WIN, _BOB_WIN, _NO_WIN = range(3)
 
 
 @dataclass(frozen=True)
@@ -299,7 +300,7 @@ class Outcome:
 
     @property
     def winner(self) -> Player | None:
-        return None if self.is_infinite else _TURNS[_RESULT_CODES[self.kind]]
+        return None if self.is_infinite else _TURNS[_KINDS.index(self.kind)]
 
     def describe(self) -> str:
         if self.is_infinite:
@@ -379,14 +380,11 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
     ca, ra = _tables_for(alice.length, alice.bits)
     cb, rb = _tables_for(bob.length, bob.bits)
 
-    # The loop keeps plain ints only: a repeat key packs (a, b, turn) into
-    # one int (a and b stay below n <= 63 while the game runs), and the
-    # toss codes and progress values go to int lists for the trace.
+    # A repeat key packs (a, b, turn) into one int: a, b < n <= 63 while it runs.
     a = b = k = 0
     seen: dict[int, int] = {}
-    codes: list[int] = []
-    after_a: list[int] = []
-    after_b: list[int] = []
+    tosses: list[Toss] = []
+    states = [START_STATE]
     outcome: Outcome
 
     while True:
@@ -400,14 +398,10 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
         a = ra[a][c]
         b = rb[b][c]
         k += 1
-        codes.append(c)
-        after_a.append(a)
-        after_b.append(b)
-        if a == n:
-            outcome = Outcome.alice_wins(k)
-            break
-        if b == n:
-            outcome = Outcome.bob_wins(k)
+        tosses.append(_TOSSES[c])
+        states.append(_state(a, b, k))
+        if a == n or b == n:
+            outcome = Outcome(_KINDS[a != n], tosses=k)
             break
 
     # A win lands on toss k and a repeat is found at toss entry + period == k.
@@ -417,12 +411,7 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
             f"{alice.text}/{bob.text}: {outcome.describe()} is past the toss "
             f"bound {bound}"
         )
-    # Tuples are built from lists: tuple(map(...)) over-allocates while it grows.
-    tosses = tuple([_TOSSES[c] for c in codes])
-    states = [START_STATE]
-    for j in range(k):
-        states.append(_state(after_a[j], after_b[j], j + 1))
-    return outcome, GameTrace(tosses, tuple(states))
+    return outcome, GameTrace(tuple(tosses), tuple(states))
 
 
 def _playout_code(n: int, alice_code: int, bob_code: int) -> tuple[int, int]:
@@ -453,7 +442,7 @@ def _prefix_walk(n: int, searcher: Player, opp_code: int, leaf):
     searcher's progress reaches the end of the prefix, pushing that
     letter's Knuth-Morris-Pratt row and popping it on the way back; each
     call carries the fallback state that its next letter's row copies.  A
-    branch ends at a win (``result`` is the winner's turn parity) or when
+    branch ends at a win (``result`` is the winner's seat) or when
     a (progress, progress, turn) triplet repeats on the path (``_NO_WIN``):
     every completion of the prefix then plays the same infinite game.  So
     a branch end settles ``1 << (n - prefix_len)`` strings, in H < T

@@ -30,8 +30,8 @@ from .engine import (
     Player,
     TossString,
     _BOB_WIN,
+    _KINDS,
     _NO_WIN,
-    _RESULT_CODES,
     _SWAP,
     _playout_code,
     _prefix_walk,
@@ -246,7 +246,7 @@ def _bound_check(alice: TossString, bob: TossString):
     bound = finite_toss_bound(n)
     outcome, trace = play(alice, bob)
     result, tosses = _playout_code(n, alice.bits, bob.bits)
-    if result != _RESULT_CODES[outcome.kind] or (
+    if _KINDS[result] is not outcome.kind or (
         not outcome.is_infinite and tosses != outcome.tosses
     ):
         yield "classifiers disagree (repeat vs cutoff)"
@@ -326,12 +326,12 @@ def _exists_forcer(
     by the toss cutoff (the oracle of the forcing rules and search)."""
     n = opponent.length
     opp = opponent.bits
-    wanted = _RESULT_CODES[forcing._GOAL_KINDS[role, goal]]
+    wanted = forcing._GOAL_KINDS[role, goal]
     for code in range(1 << n):
         if code == opp:
             continue
         a, b = (opp, code) if role is Player.BOB else (code, opp)
-        if _playout_code(n, a, b)[0] == wanted:
+        if _KINDS[_playout_code(n, a, b)[0]] is wanted:
             return True
     return False
 

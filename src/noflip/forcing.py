@@ -36,7 +36,7 @@ from .engine import (
     Player,
     Toss,
     TossString,
-    _RESULT_CODES,
+    _KINDS,
     _SWAP,
     _prefix_walk,
     play,
@@ -139,7 +139,7 @@ def _first_loss(role: Player, n: int, opponent_code: int) -> int | None:
     string does.  The first branch end of
     :func:`~noflip.engine._prefix_walk` that the opponent wins holds it,
     its prefix padded with H."""
-    lost = _RESULT_CODES[_GOAL_KINDS[role, ForceGoal.LOSS]]
+    lost = _KINDS.index(_GOAL_KINDS[role, ForceGoal.LOSS])
 
     def leaf(code: int, length: int, result: int, tosses: int) -> int | None:
         return code << (n - length) if result == lost else None

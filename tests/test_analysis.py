@@ -5,6 +5,7 @@ compare every fired prediction with the real playout."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -249,3 +250,30 @@ class TestMutualConsistency:
             predict_by_runs(ts("HT"), ts("HT"))
         with pytest.raises(ValueError):
             predict_large_overlap(ts("HT"), ts("HTT"))
+
+
+class TestWhereRulesFire:
+    def test_rule_and_kind_counts_over_every_pair_up_to_seven(self):
+        # The soundness sweeps still pass when a rule stops firing; these
+        # counts pin where each rule fires.
+        counts = Counter(
+            (p.rule, p.kind)
+            for n in range(1, 8)
+            for alice, bob in all_pairs(n)
+            for p in all_predictions(alice, bob)
+        )
+        assert counts == {
+            ("alternating-vs-doubled", ALICE_WINS): 114,
+            ("alternating-vs-doubled", BOB_WINS): 114,
+            ("constant-alice", ALICE_WINS): 8,
+            ("constant-alice", BOB_WINS): 110,
+            ("constant-alice", INFINITE): 376,
+            ("constant-bob", ALICE_WINS): 110,
+            ("constant-bob", BOB_WINS): 6,
+            ("constant-bob", INFINITE): 364,
+            ("equal-but-last", ALICE_WINS): 170,
+            ("equal-but-last", BOB_WINS): 84,
+            ("one-step-shadow", BOB_WINS): 124,
+            ("two-step-shadow", BOB_WINS): 120,
+            ("run-length-gap", INFINITE): 6502,
+        }

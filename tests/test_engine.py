@@ -23,6 +23,8 @@ from noflip.engine import (
     START_STATE,
     Toss,
     TossString,
+    _TURNS,
+    _seat,
     advance,
     finite_toss_bound,
     next_choice,
@@ -437,6 +439,28 @@ class TestPlayoutInvariants:
                 for bob in all_strings(n):
                     if alice != bob:
                         yield alice, bob, play(alice, bob)
+
+    def test_each_toss_is_named_by_its_seat(self):
+        # _seat is the engine's statement of who names toss k: toss k is that
+        # player's next letter, and each state's turn is the seat of the toss
+        # after it.  The winning toss may be the loser's (HH/TH ends on HTH),
+        # so a winner is checked by its full progress at the end instead.
+        for n in range(1, 7):
+            for alice in all_strings(n):
+                for bob in all_strings(n):
+                    if alice == bob:
+                        continue
+                    outcome, trace = play(alice, bob)
+                    strings = (alice, bob)
+                    for k, before in enumerate(trace.states[:-1], start=1):
+                        seat = _seat(k)
+                        progress = (before.a, before.b)[seat]
+                        assert trace.tosses[k - 1] is strings[seat].at(progress + 1)
+                    for s in trace.states[1:]:
+                        assert _TURNS[_seat(s.k + 1)] is s.turn, (alice, bob, s)
+                    if not outcome.is_infinite:
+                        last = trace.states[-1]
+                        assert (last.a, last.b)[_TURNS.index(outcome.winner)] == n
 
     def test_every_game_respects_the_counting_bound(self):
         for alice, bob, (outcome, trace) in self.outcomes_small():

@@ -325,7 +325,7 @@ def readme_no_loss_counts():
 def test_readme_no_loss_table_matches_the_sweep():
     counts = readme_no_loss_counts()
     assert sorted(counts) == list(range(2, 15, 2))
-    # n = 14 takes seconds, so its row stays unchecked here.
+    # n = 14 takes seconds; CI's console-script step checks its row.
     for n in range(2, 13, 2):
         assert len(no_loss_strings(n)) == counts[n], n
 
