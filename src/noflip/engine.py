@@ -221,8 +221,8 @@ def scan_progress(pattern: str, output: str) -> int:
 class GameState:
     """Snapshot after toss k: both progress values and the toss count.
 
-    Whose turn is next is the toss count's parity, not a stored field:
-    Alice moves on odd tosses, so it is her turn exactly when k is even.
+    Whose turn is next is not a stored field: it is :func:`_seat` of the
+    next toss, k + 1, so it is Alice's turn exactly when k is even.
     """
 
     a: int
@@ -235,7 +235,7 @@ class GameState:
 
     @property
     def turn(self) -> Player:
-        return _TURNS[self.k & 1]
+        return _TURNS[_seat(self.k + 1)]
 
     @property
     def triplet(self) -> tuple[int, int, Player]:
@@ -420,15 +420,14 @@ def _playout_code(n: int, alice_code: int, bob_code: int) -> tuple[int, int]:
     ca, ra = _tables_for(n, alice_code)
     cb, rb = _tables_for(n, bob_code)
     a = b = 0
-    for k in range(1, finite_toss_bound(n) + 1):
-        c = ca[a] if k % 2 else cb[b]
+    bound = finite_toss_bound(n)
+    for k in range(bound):
+        c = cb[b] if k & 1 else ca[a]
         a = ra[a][c]
         b = rb[b][c]
-        if a == n:
-            return _ALICE_WIN, k
-        if b == n:
-            return _BOB_WIN, k
-    return _NO_WIN, k
+        if a == n or b == n:
+            return int(a != n), k + 1
+    return _NO_WIN, bound
 
 
 def _prefix_walk(n: int, searcher: Player, opp_code: int, leaf):

@@ -95,38 +95,27 @@ def _finish(
     rule: tuple[str, str] | None,
     cap: int = DEFAULT_SEARCH_CAP,
 ) -> ForceResult:
-    """Answer with the applying rule's one string, a (text, method) pair in
-    the H-first frame, once its playout reaches the goal.  A loss with no
-    rule, or whose rule misses, plays the prefix search's one answer within
-    the cap instead.  Only the loss rules leave gaps; any other miss is a bug."""
+    """Play one string against the opponent: the applying rule's, a (text,
+    method) pair in the H-first frame, which is final, or, where a loss
+    operation passes ``rule=None``, the prefix search's answer within the
+    cap.  A string whose playout misses the goal is a bug and raises."""
     n = opponent.length
     norm = _normalize(opponent)
-    mask = norm.bits ^ opponent.bits  # maps string codes into and out of that frame
-    wanted = _GOAL_KINDS[role, goal]
-
-    def reaches_goal(code: int, method: str) -> ForceResult | None:
-        own = TossString(n, code ^ mask)  # back to the opponent's frame
-        if own != opponent:
-            alice, bob = (own, opponent) if role is Player.ALICE else (opponent, own)
-            outcome = play(alice, bob)[0]
-            if outcome.kind is wanted:
-                return ForceResult(ForceStatus.FOUND, method, own, outcome)
-        return None
-
     if rule is not None:
         text, method = rule
-        found = reaches_goal(TossString.from_text(text).bits, method)
-        if found is not None:
-            return found
-    if goal is ForceGoal.LOSS:
-        if n > cap:
-            return ForceResult(ForceStatus.UNKNOWN, "exhaustive-search")
-        code = _first_loss(role, n, norm.bits)
+        code = TossString.from_text(text).bits
+    elif n > cap:
+        return ForceResult(ForceStatus.UNKNOWN, "exhaustive-search")
+    else:
+        code, method = _first_loss(role, n, norm.bits), "exhaustive-search"
         if code is None:
-            return ForceResult(ForceStatus.IMPOSSIBLE, "exhaustive-search")
-        found = reaches_goal(code, "exhaustive-search")
-        if found is not None:
-            return found
+            return ForceResult(ForceStatus.IMPOSSIBLE, method)
+    own = TossString(n, code ^ norm.bits ^ opponent.bits)  # in the opponent's frame
+    if own != opponent:
+        alice, bob = (own, opponent) if role is Player.ALICE else (opponent, own)
+        outcome = play(alice, bob)[0]
+        if outcome.kind is _GOAL_KINDS[role, goal]:
+            return ForceResult(ForceStatus.FOUND, method, own, outcome)
     raise RuntimeError(
         f"verified construction for {role.value}/{goal.value} against "
         f"{opponent.text} fails its playout; this is a bug"

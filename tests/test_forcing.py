@@ -427,6 +427,43 @@ class TestRulesAnswerAlone:
                             role, goal, opponent.text,
                         )
 
+    # Each rule's string is HTT; the search would answer HHH and HTH.
+    @pytest.mark.parametrize(
+        "op,opponent,method",
+        [
+            (bob_force_loss, "HTH", "copy-flip-last"),
+            (alice_force_loss, "HHT", "shift-after-even-run"),
+        ],
+    )
+    def test_a_loss_rule_that_misses_raises(self, monkeypatch, op, opponent, method):
+        real_play = forcing.play
+
+        def lying_play(alice, bob):
+            if ts("HTT") in (alice, bob):
+                return Outcome.infinite(0, 2), None
+            return real_play(alice, bob)
+
+        assert op(ts(opponent)).method == method
+        monkeypatch.setattr(forcing, "play", lying_play)
+        with pytest.raises(RuntimeError, match="fails its playout; this is a bug"):
+            op(ts(opponent))
+
+    def test_only_a_loss_reaches_finish_without_a_rule(self, monkeypatch):
+        goals = set()
+        finish = forcing._finish
+
+        def spy(role, goal, opponent, rule, cap=DEFAULT_SEARCH_CAP):
+            if rule is None:
+                goals.add(goal)
+            return finish(role, goal, opponent, rule, cap)
+
+        monkeypatch.setattr(forcing, "_finish", spy)
+        for n in range(1, 11):
+            for opponent in all_strings(n):
+                for role, goal in forcing._FORCERS:
+                    force(role, goal, opponent, cap=0)
+        assert goals == {ForceGoal.LOSS}
+
 
 class TestForceDispatch:
     def test_routes_by_role_and_goal(self):
