@@ -22,9 +22,10 @@ costs O(1).  The direct suffix-comparison formula is kept as
 automaton in the test suite.
 
 Every game loop lives here, and no other module reads the automaton
-tables: the sweeps and the forcing search pass string codes to
-:func:`_prefix_walk`, which builds its opponent's tables uncached, and
-the per-pair toss-cutoff oracle is :func:`_playout_code`.
+tables: the sweeps and the forcing search pass string prefixes to
+:func:`_trie_walk`, one walk over both players' prefixes that pushes and
+pops each player's rows uncached, and the per-pair toss-cutoff oracle is
+:func:`_playout_code`.
 """
 
 from __future__ import annotations
@@ -169,10 +170,19 @@ def _kmp_tables(
     transition rows, built one character at a time by :func:`_kmp_push`."""
     chars: list[int] = []
     rows: list[tuple[int, int]] = []
+    _push_string(chars, rows, length, bits)
+    return tuple(chars), tuple(rows)
+
+
+def _push_string(
+    chars: list[int], rows: list[tuple[int, int]], length: int, bits: int
+) -> int:
+    """Push a packed string's characters, first toss first, onto empty
+    rows with :func:`_kmp_push`; return the next state's fallback."""
     fallback = 0
     for j in range(length):
         fallback = _kmp_push(chars, rows, fallback, (bits >> (length - 1 - j)) & 1)
-    return tuple(chars), tuple(rows)
+    return fallback
 
 
 # Cached for play and _playout_code, the loops that meet the same strings again.
@@ -416,7 +426,7 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
 
 def _playout_code(n: int, alice_code: int, bob_code: int) -> tuple[int, int]:
     """One pair's (result, tosses played) by the toss cutoff alone, with
-    no repeat check: the oracle of :func:`play` and :func:`_prefix_walk`."""
+    no repeat check: the oracle of :func:`play` and :func:`_trie_walk`."""
     ca, ra = _tables_for(n, alice_code)
     cb, rb = _tables_for(n, bob_code)
     a = b = 0
@@ -430,59 +440,67 @@ def _playout_code(n: int, alice_code: int, bob_code: int) -> tuple[int, int]:
     return _NO_WIN, bound
 
 
-def _prefix_walk(n: int, searcher: Player, opp_code: int, leaf):
-    """Play a fixed opponent against every string of length n of the
-    player ``searcher`` at once.  At each branch end call
-    ``leaf(prefix_code, prefix_len, result, tosses)``, and return the
-    first value that is not None.
+def _trie_walk(n: int, alice: tuple[int, int], bob: tuple[int, int], leaf):
+    """Play every pair of strings of length n that extend the known
+    prefixes ``alice`` and ``bob``, each a (code, length) pair, at once.
+    At each branch end call ``leaf(a_code, a_len, b_code, b_len, result,
+    tosses)``, and return the first value that is not None.
 
-    The walk plays the game with the searcher's string known only up to a
-    prefix.  It reads the next letter, H before T, only when the
-    searcher's progress reaches the end of the prefix, pushing that
-    letter's Knuth-Morris-Pratt row and popping it on the way back; each
-    call carries the fallback state that its next letter's row copies.  A
-    branch ends at a win (``result`` is the winner's seat) or when
-    a (progress, progress, turn) triplet repeats on the path (``_NO_WIN``):
-    every completion of the prefix then plays the same infinite game.  So
-    a branch end settles ``1 << (n - prefix_len)`` strings, in H < T
-    order; ``tosses`` counts the path's triplets, one per toss played, and
-    its parity says whose turn it is.  While the prefix is a
-    prefix of the opponent's string, both progress values stay equal, so
-    the opponent cannot win without the searcher winning on the same toss:
-    only that tie at toss n, reported as a searcher win, settles the
-    opponent's own string.
+    The walk keeps each player's characters and Knuth-Morris-Pratt rows on
+    a stack of its own and plays while both progress values lie inside the
+    known prefixes.  When one reaches the end of its prefix, Alice's
+    checked first, it reads that player's next letter, H before T, pushing
+    its row and popping it on the way back; each call carries both
+    fallback states that the next rows copy.  A branch ends at a win
+    (``result`` is the winner's seat) or when a (progress, progress, turn)
+    triplet repeats on the path (``_NO_WIN``): every completion of the two
+    prefixes then plays the same infinite game.  So a branch end settles
+    ``1 << (2 * n - a_len - b_len)`` pairs, each prefix in H < T order;
+    ``tosses`` counts the path's triplets, one per toss played, and its
+    parity says whose turn it is.  Both strings complete on the same toss
+    only when they are identical, and that tie is reported as Alice's win.
+    A prefix given in full is never branched on, so a search against a
+    fixed opponent passes the opponent's whole string.
     """
-    opp_chars, opp_rows = _kmp_tables(n, opp_code)
-    chars: list[int] = []
-    rows: list[tuple[int, int]] = []
+    ca: list[int] = []
+    ra: list[tuple[int, int]] = []
+    cb: list[int] = []
+    rb: list[tuple[int, int]] = []
     path: set[tuple[int, int, int]] = set()
-    own_turn = _TURNS.index(searcher)
 
-    def walk(p: int, q: int, code: int, fallback: int):
+    def walk(p: int, q: int, a_code: int, b_code: int, fa: int, fb: int):
         added = []
-        depth = len(rows)
+        la, lb = len(ra), len(rb)
         try:
-            while p < depth:
+            while p < la and q < lb:
                 turn = len(path) & 1
                 key = (p, q, turn)
                 if key in path:
-                    return leaf(code, depth, _NO_WIN, len(path))
+                    return leaf(a_code, la, b_code, lb, _NO_WIN, len(path))
                 path.add(key)
                 added.append(key)
-                c = chars[p] if turn == own_turn else opp_chars[q]
-                p = rows[p][c]
-                q = opp_rows[q][c]
+                c = cb[q] if turn else ca[p]
+                p = ra[p][c]
+                q = rb[q][c]
                 if p == n or q == n:
-                    return leaf(code, depth, own_turn ^ (p != n), len(path))
+                    return leaf(a_code, la, b_code, lb, int(p != n), len(path))
             for c in (0, 1):
-                after = _kmp_push(chars, rows, fallback, c)
-                found = walk(p, q, code << 1 | c, after)
-                chars.pop()
-                rows.pop()
+                if p == la:
+                    after = _kmp_push(ca, ra, fa, c)
+                    found = walk(p, q, a_code << 1 | c, b_code, after, fb)
+                    ca.pop()
+                    ra.pop()
+                else:
+                    after = _kmp_push(cb, rb, fb, c)
+                    found = walk(p, q, a_code, b_code << 1 | c, fa, after)
+                    cb.pop()
+                    rb.pop()
                 if found is not None:
                     return found
             return None
         finally:
             path.difference_update(added)
 
-    return walk(0, 0, 0, 0)
+    fa = _push_string(ca, ra, alice[1], alice[0])
+    fb = _push_string(cb, rb, bob[1], bob[0])
+    return walk(0, 0, alice[0], bob[0], fa, fb)

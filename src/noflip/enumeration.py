@@ -6,16 +6,20 @@ the longest finite games, the strings whose owner can never be handed
 a loss, and run verification suites that replay the invariants of the
 other modules against brute force.
 
-Census and longest games come from the engine's prefix walk, one per
-first string, which calls a game infinite when a (progress, progress,
-turn) triplet repeats; the no-loss sweep asks the forcing search, on the
-same walk, once per string; this module passes string codes and holds
-no game loop.  The engine's per-pair toss-cutoff replay (no win within
+Census and longest games come from one walk of the engine over both
+players' prefixes at once, pushing and popping each player's rows as the
+game reads their letters; it calls a game infinite when a (progress,
+progress, turn) triplet repeats.  The walk fixes the first string's first
+letter to H, and complements cover the rest.  The no-loss sweep asks the
+forcing search, the same walk with the opponent's whole string pushed,
+once per string; this module passes string prefixes and holds no game
+loop.  The engine's per-pair toss-cutoff replay (no win within
 ``finite_toss_bound(n)`` tosses) is their oracle in the ``bound`` and
-``forcing`` suites.  Sweeps are embarrassingly parallel over disjoint
-ranges of the first player's string code; results merge in range
-order, so parallel and sequential runs produce identical output.  Pair
-iteration is in lexicographic order with H < T.
+``forcing`` suites.  Sweeps are embarrassingly parallel: census and
+longest games over a fixed set of the first string's opening letters,
+the no-loss sweep over disjoint ranges of string codes.  Results merge in
+a fixed order, so parallel and sequential runs produce identical output.
+Pair iteration is in lexicographic order with H < T.
 """
 
 from __future__ import annotations
@@ -29,12 +33,12 @@ from .engine import (
     MAX_LENGTH,
     Player,
     TossString,
-    _BOB_WIN,
+    _ALICE_WIN,
     _KINDS,
     _NO_WIN,
     _SWAP,
     _playout_code,
-    _prefix_walk,
+    _trie_walk,
     finite_toss_bound,
     play,
     scan_progress,
@@ -64,54 +68,73 @@ def _ranges(total: int, parts: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _run_chunks(worker, n: int, total: int, workers: int) -> list:
-    spans = _ranges(total, workers)
-    if workers == 1 or len(spans) == 1:
-        return [worker((n, lo, hi)) for lo, hi in spans]
+def _run_chunks(worker, tasks: list, workers: int) -> list:
+    if workers == 1 or len(tasks) == 1:
+        return [worker(task) for task in tasks]
     # Imported here: multiprocessing would slow every command's start-up.
     from concurrent.futures import ProcessPoolExecutor
 
-    # Spans stay as requested, so the merge order and the output do not
-    # depend on how many processes actually run them.
-    with ProcessPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
-        return list(pool.map(worker, [(n, lo, hi) for lo, hi in spans]))
+    # Results come back in task order, whichever process ran each task.
+    size = min(workers, len(tasks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(worker, tasks))
+
+
+#: Letters of Alice's string, H first, that each sweep chunk fixes in advance:
+#: a fixed split, so the chunks and their merge do not depend on the workers.
+_SPLIT_LETTERS = 4
 
 
 def _sweep_chunk(args: tuple[int, int, int]) -> tuple[list[int], int, list]:
-    """Outcome counts, the longest finite game and its witness code pairs
-    over the pairs whose first string's code lies in one span, by one
-    prefix walk over Bob's strings per Alice string."""
-    n, lo, hi = args
+    """Outcome counts, the longest finite game and the branch ends that
+    reach it, over the pairs whose first string extends one prefix, by one
+    walk over both players' prefixes."""
+    n, prefix, length = args
     counts = [0, 0, 0]  # indexed by _ALICE_WIN, _BOB_WIN, _NO_WIN
     best = 0
-    at_best: list[tuple[int, range]] = []  # (alice code, bob codes) of the longest
-    for ai in range(lo, hi):
+    at_best: list[tuple[int, int, int, int]] = []  # (a_code, a_len, b_code, b_len)
 
-        def leaf(code: int, length: int, result: int, tosses: int) -> None:
-            nonlocal best
-            shift = n - length
-            if result == _BOB_WIN and code << shift == ai:
-                return  # Bob's string is Alice's own: not a pair
-            counts[result] += 1 << shift
-            if result == _NO_WIN or tosses < best:
-                return
-            if tosses > best:
-                best = tosses
-                at_best.clear()
-            at_best.append((ai, range(code << shift, (code + 1) << shift)))
+    def leaf(a_code, a_len, b_code, b_len, result: int, tosses: int) -> None:
+        nonlocal best
+        counts[result] += 1 << (2 * n - a_len - b_len)
+        if result == _NO_WIN or tosses < best:
+            return
+        if tosses > best:
+            best = tosses
+            at_best.clear()
+        at_best.append((a_code, a_len, b_code, b_len))
 
-        _prefix_walk(n, Player.BOB, ai, leaf)
-    return counts, best, [(ai, bi) for ai, bobs in at_best for bi in bobs]
+    _trie_walk(n, (prefix, length), (0, 0), leaf)
+    return counts, best, at_best
 
 
 def _sweep(n: int, cap: int, workers: int) -> tuple[list[int], int, list]:
     """One pass over every ordered pair of distinct strings of length n:
-    outcome counts, the longest finite game and its witness code pairs."""
+    outcome counts, the longest finite game and its witness code pairs.
+
+    The walk fixes Alice's first letter to H; complementing both strings
+    mirrors a game, so every count doubles.  Each string against itself
+    ties, read as Alice's win, so those 2^n pairs leave her count again."""
     _check_sweep_args(n, cap, workers)
-    chunks = _run_chunks(_sweep_chunk, n, 1 << n, workers)
-    counts = [sum(c[0][result] for c in chunks) for result in range(3)]
+    length = min(n, _SPLIT_LETTERS)
+    tasks = [(n, prefix, length) for prefix in range(1 << (length - 1))]
+    chunks = _run_chunks(_sweep_chunk, tasks, workers)
+    size = 1 << n
+    counts = [2 * sum(c[0][result] for c in chunks) for result in range(3)]
+    counts[_ALICE_WIN] -= size
     best = max(c[1] for c in chunks)
-    witnesses = [pair for c in chunks if c[1] == best for pair in c[2]]
+    # The witnesses are every completion of the two prefixes at the longest
+    # game but the diagonal, and their complements.
+    mask = size - 1
+    witnesses = []
+    ends = [end for c in chunks if c[1] == best for end in c[2]]
+    for a_code, a_len, b_code, b_len in ends:
+        sa, sb = n - a_len, n - b_len
+        for a in range(a_code << sa, (a_code + 1) << sa):
+            for b in range(b_code << sb, (b_code + 1) << sb):
+                if a != b:
+                    witnesses += (a, b), (a ^ mask, b ^ mask)
+    witnesses.sort()
     return counts, best, witnesses
 
 
@@ -195,8 +218,8 @@ def no_loss_strings(
     throw the game."""
     _check_sweep_args(n, cap, workers)
     # H-first strings occupy codes 0 .. 2^(n-1)-1; code 0 is the constant.
-    top = 1 << (n - 1)
-    chunks = _run_chunks(_no_loss_chunk, n, top, workers)
+    spans = _ranges(1 << (n - 1), workers)
+    chunks = _run_chunks(_no_loss_chunk, [(n, lo, hi) for lo, hi in spans], workers)
     return [TossString(n, code) for chunk in chunks for code in chunk]
 
 

@@ -5,9 +5,10 @@ caller's own string so that the deterministic playout ends the way the
 caller wants: a win, a loss, or an infinite game.  The first shape rule
 whose hypothesis holds proposes one string; a loss that fits no rule goes
 to a prefix search (:func:`_first_loss`) on the engine's prefix walk
-(:func:`~noflip.engine._prefix_walk`).  The walk reads the caller's
-string one letter at a time, H before T, only when the game needs it, so
-one branch settles every string that shares its prefix.  The search
+(:func:`~noflip.engine._trie_walk`), which the sweeps share, with the
+opponent's whole string known.  The walk reads the caller's string one
+letter at a time, H before T, only when the game needs it, so one branch
+settles every string that shares its prefix.  The search
 returns the string a scan of all candidates in H < T order finds first.
 
 That one string, rule or search answer, is played against the real
@@ -38,7 +39,7 @@ from .engine import (
     TossString,
     _KINDS,
     _SWAP,
-    _prefix_walk,
+    _trie_walk,
     play,
 )
 
@@ -125,15 +126,25 @@ def _finish(
 def _first_loss(role: Player, n: int, opponent_code: int) -> int | None:
     """The first code, in H < T order, of a string of length n with which
     ``role`` loses to the opponent string ``opponent_code``; None if no
-    string does.  The first branch end of
-    :func:`~noflip.engine._prefix_walk` that the opponent wins holds it,
-    its prefix padded with H."""
+    string does.  The first branch end of :func:`~noflip.engine._trie_walk`,
+    with the opponent's whole string pushed, that the opponent wins holds
+    it, its prefix padded with H.  A tie reads as Alice's win, so Bob skips
+    his copy of her string."""
     lost = _KINDS.index(_GOAL_KINDS[role, ForceGoal.LOSS])
+    opponent = (opponent_code, n)
+    if role is Player.ALICE:
 
-    def leaf(code: int, length: int, result: int, tosses: int) -> int | None:
-        return code << (n - length) if result == lost else None
+        def alice_loses(a_code, a_len, b_code, b_len, result, tosses):
+            return a_code << (n - a_len) if result == lost else None
 
-    return _prefix_walk(n, role, opponent_code, leaf)
+        return _trie_walk(n, (0, 0), opponent, alice_loses)
+
+    def bob_loses(a_code, a_len, b_code, b_len, result, tosses):
+        if result == lost and (b_len < n or b_code != opponent_code):
+            return b_code << (n - b_len)
+        return None
+
+    return _trie_walk(n, opponent, (0, 0), bob_loses)
 
 
 # ---------------------------------------------------------------------------

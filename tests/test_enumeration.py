@@ -20,7 +20,7 @@ from noflip import (
     play,
 )
 from noflip.analysis import Prediction
-from noflip.engine import _NO_WIN, _playout_code, _prefix_walk, _tables_for
+from noflip.engine import _ALICE_WIN, _NO_WIN, _playout_code, _tables_for, _trie_walk
 from noflip.enumeration import (
     DEFAULT_SWEEP_CAP,
     OutcomeCensus,
@@ -223,7 +223,7 @@ LONGER_ROWS = {
 
 
 class TestSweepKernel:
-    """The prefix-walk sweep against a per-pair loop over the cutoff oracle."""
+    """The two-sided walk against a per-pair loop over the cutoff oracle."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n", range(1, 10))
@@ -239,7 +239,7 @@ class TestSweepKernel:
         assert (tuple(counts), best, pairs) == LONGER_ROWS[n]
 
     def test_sweeps_leave_the_table_cache_alone(self):
-        # The prefix walk builds its opponent's tables uncached, so a sweep
+        # The walk pushes and pops both players' rows uncached, so a sweep
         # neither grows the cache nor pushes out the tables play reads.
         _tables_for.cache_clear()
         census(6, workers=1)
@@ -249,25 +249,65 @@ class TestSweepKernel:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_alice_searching_matches_the_per_pair_oracle(self, n):
-        # The sweeps walk with Bob searching; the forcing search also walks
-        # as Alice, so hold that side to the cutoff oracle too.
+        # The forcing search walks with the opponent's whole string pushed;
+        # hold Alice's side of that walk to the cutoff oracle.
         for bob in range(1 << n):
-            settled = {}
-
-            def leaf(code, length, result, tosses):
-                shift = n - length
-                for a in range(code << shift, (code + 1) << shift):
-                    assert a not in settled
-                    settled[a] = result, tosses
-
-            assert _prefix_walk(n, Player.ALICE, bob, leaf) is None
-            assert sorted(settled) == list(range(1 << n))
+            settled = walk_against(n, bob, Player.ALICE)
             for a, (result, tosses) in settled.items():
-                if a != bob:
-                    want, played = _playout_code(n, a, bob)
-                    assert result == want, (n, a, bob)
-                    if result != _NO_WIN:
-                        assert tosses == played, (n, a, bob)
+                assert_settled_like_the_oracle(n, a, bob, result, tosses)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bob_searching_matches_the_per_pair_oracle(self, n):
+        for alice in range(1 << n):
+            settled = walk_against(n, alice, Player.BOB)
+            for b, (result, tosses) in settled.items():
+                assert_settled_like_the_oracle(n, alice, b, result, tosses)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_the_split_depth_does_not_show_in_the_output(self, n):
+        # These lengths are at most the letters each chunk fixes in advance.
+        want = _sweep(n, DEFAULT_SWEEP_CAP, 1)
+        for workers in (2, 3):
+            assert _sweep(n, DEFAULT_SWEEP_CAP, workers) == want
+
+
+def walk_against(n, opponent, searcher):
+    """{code: (result, tosses)} over every string of the searcher, each
+    settled by exactly one branch end of the walk against the opponent's
+    whole string."""
+    settled = {}
+    fixed = (opponent, n)
+
+    def leaf(a_code, a_len, b_code, b_len, result, tosses):
+        if searcher is Player.ALICE:
+            assert (b_code, b_len) == fixed
+            code, shift = a_code, n - a_len
+        else:
+            assert (a_code, a_len) == fixed
+            code, shift = b_code, n - b_len
+        if code == opponent >> shift:
+            assert shift == 0  # the tie with the opponent's own string
+        for own in range(code << shift, (code + 1) << shift):
+            assert own not in settled
+            settled[own] = result, tosses
+
+    if searcher is Player.ALICE:
+        assert _trie_walk(n, (0, 0), fixed, leaf) is None
+    else:
+        assert _trie_walk(n, fixed, (0, 0), leaf) is None
+    assert sorted(settled) == list(range(1 << n))
+    # The opponent's own string ties at toss n, read as Alice's win.
+    assert settled[opponent] == (_ALICE_WIN, n)
+    return settled
+
+
+def assert_settled_like_the_oracle(n, a, b, result, tosses):
+    if a == b:
+        return
+    want, played = _playout_code(n, a, b)
+    assert result == want, (n, a, b)
+    if result != _NO_WIN:
+        assert tosses == played, (n, a, b)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -290,9 +330,13 @@ def readme_length_table():
 
 def test_readme_length_table_matches_the_sweeps():
     rows = readme_length_table()
-    assert sorted(rows) == list(range(1, 13))
+    assert sorted(rows) == list(range(1, 17))
     for n, (counts, longest, witnesses, bound) in rows.items():
         assert bound == finite_toss_bound(n)
+        if n >= 12:
+            assert longest == 4 * n - 14  # README's named observation
+        if n > 12:
+            continue  # CI's console-script step sweeps these rows
         if n <= 8:
             c, stats = census(n), longest_finite(n)
             assert counts == (c.alice_wins, c.bob_wins, c.infinite)
