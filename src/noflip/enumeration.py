@@ -20,6 +20,10 @@ longest games over a fixed set of the first string's opening letters,
 the no-loss sweep over disjoint ranges of string codes.  Results merge in
 a fixed order, so parallel and sequential runs produce identical output.
 Pair iteration is in lexicographic order with H < T.
+
+The verify suites share work across pairs: ``symmetry`` plays each
+complement class once, from its H-first pair, and reports a fault on both
+pairs; ``bound`` asks the scan oracle once per (string, toss prefix) per run.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .engine import (
     _KINDS,
     _NO_WIN,
     _SWAP,
+    _TURNS,
     _playout_code,
     _trie_walk,
     finite_toss_bound,
@@ -241,11 +246,7 @@ class VerifyReport:
         return not self.violations
 
 
-_FORBIDDEN = {
-    (0, 0, Player.BOB),
-    (0, 1, Player.BOB),
-    (1, 0, Player.ALICE),
-}
+_FORBIDDEN = {(0, 0, 1), (0, 1, 1), (1, 0, 0)}  # (a, b, seat to move)
 
 
 def _pair_suite(check, n: int) -> tuple[int, list[str]]:
@@ -261,10 +262,24 @@ def _pair_suite(check, n: int) -> tuple[int, list[str]]:
     return size * (size - 1), violations
 
 
-def _bound_check(alice: TossString, bob: TossString):
+def _bound_suite(n: int) -> tuple[int, list[str]]:
+    """The bound check on every pair, asking the scan oracle once per
+    (string, toss prefix) however many games reach it."""
+    scans: dict[tuple[str, str], int] = {}
+
+    def scan(pattern: str, output: str) -> int:
+        key = pattern, output
+        if key not in scans:
+            scans[key] = scan_progress(pattern, output)
+        return scans[key]
+
+    return _pair_suite(partial(_bound_check, scan=scan), n)
+
+
+def _bound_check(alice: TossString, bob: TossString, scan):
     """The counting bound, agreement of the repeated-state and toss-cutoff
     classifiers, forbidden states, mover increments, and (for n <= 6) the
-    direct-scan progress oracle."""
+    direct-scan progress oracle ``scan``."""
     n = alice.length
     bound = finite_toss_bound(n)
     outcome, trace = play(alice, bob)
@@ -279,19 +294,18 @@ def _bound_check(alice: TossString, bob: TossString):
     elif outcome.tosses > bound:
         yield "finite game beyond the counting bound"
     for before, after in zip(trace.states, trace.states[1:]):
-        moved = after.a - before.a if before.turn is Player.ALICE else after.b - before.b
+        moved = after.b - before.b if before.k & 1 else after.a - before.a
         if moved != 1:
             yield f"mover progress changed by {moved}"
     for s in trace.states:
-        if (s.a, s.b, s.turn) in _FORBIDDEN:
-            yield f"forbidden state {(s.a, s.b, s.turn.value)}"
+        seat = s.k & 1
+        if (s.a, s.b, seat) in _FORBIDDEN:
+            yield f"forbidden state {(s.a, s.b, _TURNS[seat].value)}"
     if n <= 6:
         text, a_text, b_text = trace.text, alice.text, bob.text
         for s in trace.states:
             output = text[: s.k]
-            if s.a != scan_progress(a_text, output) or s.b != scan_progress(
-                b_text, output
-            ):
+            if s.a != scan(a_text, output) or s.b != scan(b_text, output):
                 yield "automaton disagrees with scan oracle"
 
 
@@ -359,21 +373,40 @@ def _exists_forcer(
     return False
 
 
-def _symmetry_check(alice: TossString, bob: TossString):
-    """Complementing both strings must mirror the playout exactly."""
-    outcome, trace = play(alice, bob)
-    mirrored, mirrored_trace = play(alice.complement(), bob.complement())
-    if mirrored != outcome:
-        yield "outcome changes under complementation"
-    if mirrored_trace.text != trace.text.translate(_SWAP):
-        yield "trace does not mirror under complementation"
+def _symmetry_suite(n: int) -> tuple[int, list[str]]:
+    """Complementing both strings must mirror the playout exactly.
+
+    Both conditions read the same from a pair and from its mirror, so each
+    complement class is played once, from the pair whose first string
+    starts with H, and each reason is a violation of both pairs."""
+    size = 1 << n
+    mask = size - 1
+    strings = [TossString(n, code) for code in range(size)]
+    found = []  # (alice code, bob code, reason)
+    for a in range(size >> 1):
+        for b in range(size):
+            if a == b:
+                continue
+            outcome, trace = play(strings[a], strings[b])
+            mirrored, mirrored_trace = play(strings[a ^ mask], strings[b ^ mask])
+            reasons = []
+            if mirrored != outcome:
+                reasons.append("outcome changes under complementation")
+            if mirrored_trace.text != trace.text.translate(_SWAP):
+                reasons.append("trace does not mirror under complementation")
+            for reason in reasons:
+                found += (a, b, reason), (a ^ mask, b ^ mask, reason)
+    # Stable: back into pair order, each pair's reasons in check order.
+    found.sort(key=lambda v: v[:2])
+    violations = [f"{strings[a].text}/{strings[b].text}: {r}" for a, b, r in found]
+    return size * (size - 1), violations
 
 
 _SUITES = {
-    "bound": partial(_pair_suite, _bound_check),
+    "bound": _bound_suite,
     "predicates": partial(_pair_suite, _predicates_check),
     "forcing": _forcing_suite,
-    "symmetry": partial(_pair_suite, _symmetry_check),
+    "symmetry": _symmetry_suite,
 }
 VERIFY_SUITES = tuple(_SUITES)
 

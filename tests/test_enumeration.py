@@ -1,5 +1,6 @@
 import concurrent.futures
 import functools
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,15 @@ from noflip import (
     play,
 )
 from noflip.analysis import Prediction
-from noflip.engine import _ALICE_WIN, _NO_WIN, _playout_code, _tables_for, _trie_walk
+from noflip.engine import (
+    _ALICE_WIN,
+    _KINDS,
+    _NO_WIN,
+    _playout_code,
+    _tables_for,
+    _trie_walk,
+    scan_progress,
+)
 from noflip.enumeration import (
     DEFAULT_SWEEP_CAP,
     OutcomeCensus,
@@ -656,3 +665,152 @@ class TestVerifyViolations:
         )
         # A single-letter Alice always wins, so there it is the right answer.
         assert verify_suite(1, "forcing").violations == ()
+
+
+# The bound and symmetry checks pair by pair, sharing no work: every pair
+# played on its own, its mirror built by complement(), every scan asked
+# afresh, the mover read from GameState.turn.  The suites share work
+# across pairs and must still report exactly what these report.
+
+_PER_PAIR_FORBIDDEN = {
+    (0, 0, Player.BOB),
+    (0, 1, Player.BOB),
+    (1, 0, Player.ALICE),
+}
+
+
+def bound_per_pair(alice, bob):
+    n = alice.length
+    bound = finite_toss_bound(n)
+    outcome, trace = enumeration.play(alice, bob)
+    result, tosses = _playout_code(n, alice.bits, bob.bits)
+    if _KINDS[result] is not outcome.kind or (
+        not outcome.is_infinite and tosses != outcome.tosses
+    ):
+        yield "classifiers disagree (repeat vs cutoff)"
+    if outcome.is_infinite:
+        if outcome.entry + outcome.period > bound:
+            yield "repeat found after the counting bound"
+    elif outcome.tosses > bound:
+        yield "finite game beyond the counting bound"
+    for before, after in zip(trace.states, trace.states[1:]):
+        moved = after.a - before.a if before.turn is Player.ALICE else after.b - before.b
+        if moved != 1:
+            yield f"mover progress changed by {moved}"
+    for s in trace.states:
+        if (s.a, s.b, s.turn) in _PER_PAIR_FORBIDDEN:
+            yield f"forbidden state {(s.a, s.b, s.turn.value)}"
+    if n <= 6:
+        text, a_text, b_text = trace.text, alice.text, bob.text
+        for s in trace.states:
+            output = text[: s.k]
+            if s.a != scan_progress(a_text, output) or s.b != scan_progress(
+                b_text, output
+            ):
+                yield "automaton disagrees with scan oracle"
+
+
+def symmetry_per_pair(alice, bob):
+    outcome, trace = enumeration.play(alice, bob)
+    mirrored, mirrored_trace = enumeration.play(alice.complement(), bob.complement())
+    if mirrored != outcome:
+        yield "outcome changes under complementation"
+    if mirrored_trace.text != trace.text.translate(str.maketrans("HT", "TH")):
+        yield "trace does not mirror under complementation"
+
+
+PER_PAIR = {"bound": bound_per_pair, "symmetry": symmetry_per_pair}
+
+
+def per_pair_report(n, suite):
+    strings = [TossString(n, code) for code in range(1 << n)]
+    violations = tuple(
+        f"{alice.text}/{bob.text}: {reason}"
+        for alice, bob in permutations(strings, 2)
+        for reason in PER_PAIR[suite](alice, bob)
+    )
+    return len(strings) * (len(strings) - 1), violations
+
+
+def wrong_outcome(outcome, trace):
+    return Outcome.infinite(9, 2), trace  # past the bound of 8 at length three
+
+
+def wrong_trace(outcome, trace):
+    states = tuple(GameState(0, 0, s.k) for s in trace.states)
+    return outcome, GameTrace((Toss.T,) * len(trace.tosses), states)
+
+
+def wrong_both(outcome, trace):
+    return wrong_trace(*wrong_outcome(outcome, trace))
+
+
+class TestVerifyAgainstPerPairChecks:
+    @pytest.mark.parametrize("suite", PER_PAIR)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_clean_lengths(self, suite, n):
+        report = verify_suite(n, suite)
+        assert (report.checks, report.violations) == per_pair_report(n, suite)
+
+    @pytest.mark.parametrize("suite", PER_PAIR)
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            {("HTH", "THH"): wrong_outcome},
+            {("TTH", "HHT"): wrong_trace},
+            # Played from the H-first side, these two pairs' violations come
+            # out of the class loop as HHT/HTT, TTH/THH, HTH/HHT, THT/TTH.
+            {("HHT", "HTT"): wrong_both, ("THT", "TTH"): wrong_trace},
+        ],
+        ids=["h-first", "t-first", "two-pairs"],
+    )
+    def test_injected_faults(self, monkeypatch, suite, faults):
+        real = enumeration.play
+
+        def play_with_faults(alice, bob):
+            outcome, trace = real(alice, bob)
+            fault = faults.get((alice.text, bob.text))
+            return fault(outcome, trace) if fault else (outcome, trace)
+
+        monkeypatch.setattr(enumeration, "play", play_with_faults)
+        report = verify_suite(3, suite)
+        assert report.violations
+        assert (report.checks, report.violations) == per_pair_report(3, suite)
+
+
+class TestVerifyWorkCounts:
+    """The shared work is counted, so that losing it fails a test."""
+
+    def test_symmetry_plays_each_ordered_pair_once(self, monkeypatch):
+        played = []
+        real = enumeration.play
+
+        def counted(alice, bob):
+            played.append((alice.bits, bob.bits))
+            return real(alice, bob)
+
+        monkeypatch.setattr(enumeration, "play", counted)
+        assert verify_suite(4, "symmetry").ok
+        assert len(played) == 240  # half of two plays per ordered pair
+        assert sorted(played) == [(a, b) for a, b in permutations(range(16), 2)]
+
+    def test_bound_scans_each_prefix_once_per_call(self, monkeypatch):
+        scanned = []
+
+        def counted(pattern, output):
+            scanned.append((pattern, output))
+            return scan_progress(pattern, output)
+
+        monkeypatch.setattr(enumeration, "scan_progress", counted)
+        strings = [TossString(4, code) for code in range(16)]
+        distinct = set()
+        for alice, bob in permutations(strings, 2):
+            trace = play(alice, bob)[1]
+            for s in trace.states:
+                output = trace.text[: s.k]
+                distinct |= {(alice.text, output), (bob.text, output)}
+        assert verify_suite(4, "bound").ok
+        assert sorted(scanned) == sorted(distinct)
+        # Nothing outlives the call: a second run scans everything again.
+        assert verify_suite(4, "bound").ok
+        assert len(scanned) == 2 * len(distinct)
