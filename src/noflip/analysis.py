@@ -16,6 +16,13 @@ covered:
   alternating against an opponent that opens with the doubled
   opposite letter.
 
+Every rule reads the strings' packed ``bits`` (first toss in the
+highest bit, T = 1), never their text, in a few integer operations per
+run length: runs come from repeated ``z &= z >> 1``, overlaps from
+shifts compared after an XOR into the frame where Alice opens with H,
+and seat patterns from one alternating 64-bit mask.  The tests hold the
+overlap and special-string rules equal to letter-by-letter references.
+
 Every fired prediction is checked against the real playout by the
 enumeration module's ``predicates`` verification suite.  A player's
 seat is their place in the engine's turn order (Alice 0, Bob 1), and a
@@ -24,9 +31,10 @@ seat's win is the outcome kind in the same place.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .engine import OutcomeKind, TossString, _KINDS, _SWAP, _seat, _validate_pair
+from .engine import OutcomeKind, TossString, _KINDS, _seat, _validate_pair
 
 
 @dataclass(frozen=True)
@@ -52,22 +60,26 @@ class RunProfile:
         return p - 1
 
 
+def _run_records(z: int, n: int) -> list[int]:
+    """Entry k-1 is the shortest prefix of the n tosses in z (first toss
+    highest) holding k consecutive 1 bits, so the longest such run in the
+    first p tosses is ``bisect_right(records, p)``.  After k-1 rounds of
+    ``z &= z >> 1``, bit i is set where a run of k ends on bit i."""
+    records: list[int] = []
+    while z:
+        records.append(n + 1 - z.bit_length())
+        z &= z >> 1
+    return records
+
+
 def run_profile(s: TossString) -> RunProfile:
-    heads: list[int] = []
-    tails: list[int] = []
-    best_h = best_t = run = 0
-    prev = ""
-    for ch in s.text:
-        run = run + 1 if ch == prev else 1
-        prev = ch
-        if ch == "H":
-            if run > best_h:
-                best_h = run
-        elif run > best_t:
-            best_t = run
-        heads.append(best_h)
-        tails.append(best_t)
-    return RunProfile(tuple(heads), tuple(tails))
+    n = s.length
+    heads = _run_records(s.bits ^ ((1 << n) - 1), n)
+    tails = _run_records(s.bits, n)
+    return RunProfile(
+        tuple(bisect_right(heads, p) for p in range(1, n + 1)),
+        tuple(bisect_right(tails, p) for p in range(1, n + 1)),
+    )
 
 
 @dataclass(frozen=True)
@@ -80,6 +92,27 @@ class Prediction:
     tosses: int | None = None
 
 
+def _gap_opens(
+    lead_h: list[int], lead_t: list[int], lag_h: list[int], lag_t: list[int]
+) -> bool:
+    """True when some prefix has the lead_h player two or more ahead of
+    the lag_h player on H-runs while lead_t is two or more ahead of lag_t
+    on T-runs (all four given as run records).
+
+    A gap that holds at some prefix also holds at the last record of a
+    leading value at or before it, since from there on the leading values
+    stand still and the lagging ones only grow; so only the leading
+    records are tested.
+    """
+    for p in lead_h + lead_t:
+        if (
+            bisect_right(lead_h, p) > bisect_right(lag_h, p) + 1
+            and bisect_right(lead_t, p) > bisect_right(lag_t, p) + 1
+        ):
+            return True
+    return False
+
+
 def predict_by_runs(alice: TossString, bob: TossString) -> Prediction | None:
     """Infinite-game test from run-length gaps.
 
@@ -89,13 +122,12 @@ def predict_by_runs(alice: TossString, bob: TossString) -> Prediction | None:
     playout cycles.  Covers the doubled-opening corollary (one string
     starting HH, the other TT) at p = 2.
     """
-    _validate_pair(alice, bob)
-    pa, pb = run_profile(alice), run_profile(bob)
-    for ha, ta, hb, tb in zip(pa.heads, pa.tails, pb.heads, pb.tails):
-        ahead_b = ha + 1 < hb and tb + 1 < ta
-        ahead_a = hb + 1 < ha and ta + 1 < tb
-        if ahead_a or ahead_b:
-            return Prediction("run-length-gap", OutcomeKind.INFINITE)
+    n = _validate_pair(alice, bob)
+    mask = (1 << n) - 1
+    ha, ta = _run_records(alice.bits ^ mask, n), _run_records(alice.bits, n)
+    hb, tb = _run_records(bob.bits ^ mask, n), _run_records(bob.bits, n)
+    if _gap_opens(hb, ta, ha, tb) or _gap_opens(ha, tb, hb, ta):
+        return Prediction("run-length-gap", OutcomeKind.INFINITE)
     return None
 
 
@@ -109,38 +141,44 @@ def predict_large_overlap(alice: TossString, bob: TossString) -> Prediction | No
     complementing both strings.
     """
     n = _validate_pair(alice, bob)
-    a, b = alice.text, bob.text
-    if a[: n - 1] == b[: n - 1]:
+    a, b = alice.bits, bob.bits
+    if a >> 1 == b >> 1:
         # Distinct strings sharing the first n-1 tosses differ at the last:
         # play stays synchronized and toss n goes to the mover of that turn.
         return Prediction("equal-but-last", _KINDS[_seat(n)], tosses=n)
-    if a[0] == "T":
-        a, b = a.translate(_SWAP), b.translate(_SWAP)
+    # From here n >= 2: every pair of one-toss strings is equal but last.
+    if a >> (n - 1):
+        mask = (1 << n) - 1
+        a, b = a ^ mask, b ^ mask
     # One string one step behind the other: Bob spends one toss, then
-    # rides Alice's own prefix home.
-    if a.startswith("HT") and b.startswith("HH") and b[1:] == a[: n - 1]:
+    # rides Alice's own prefix home.  Alice opens HT, Bob is H + her
+    # first n-1 tosses, so he opens HH.
+    if a >> (n - 2) == 0b01 and b == a >> 1:
         return Prediction("one-step-shadow", OutcomeKind.BOB_WINS)
-    # Two steps behind, with the doubled opening absorbed up front.
-    if a[:2] == "HH" and b[:4] == "HTHH" and b[4:] == a[2 : n - 2]:
+    # Two steps behind, with the doubled opening absorbed up front: Alice
+    # opens HH, Bob is HTHH + her tosses 3..n-2.
+    if n >= 4 and a >> (n - 2) == 0 and b == (0b0100 << (n - 4) | a >> 2):
         return Prediction("two-step-shadow", OutcomeKind.BOB_WINS)
     return None
 
 
-def _positions_all(text: str, letter: str, seat: int) -> bool:
-    """True when `letter` is at every 1-based position the seat names."""
-    return all(ch == letter for i, ch in enumerate(text, start=1) if _seat(i) == seat)
+# Bit 63 and every second bit below it.  Shifted right by 64 - n + seat,
+# its top bit lands on toss 1 + seat of an n-toss string, and it marks
+# every toss that seat names.
+_SEAT_BITS = 0xAAAA_AAAA_AAAA_AAAA
 
 
-def _constant_opponent(x: str, other: str, n: int, seat: int) -> Prediction:
-    """The result against the player in the given seat with the string
-    all `x`: the opponent wins when their string rides that stream from
-    either alignment, but for one near-match string."""
+def _constant_opponent(x: int, other: int, n: int, seat: int) -> Prediction:
+    """The result against the player in the given seat with the constant
+    string of bits x (0 or all ones): the opponent wins when their string
+    rides that stream from either alignment, but for one near-match
+    string."""
     rule = "constant-bob" if seat else "constant-alice"
-    if other == x * (n - 1) + x.translate(_SWAP) and _seat(n) == seat:
+    if other == x ^ 1 and _seat(n) == seat:
         return Prediction(rule, _KINDS[seat], tosses=n)
-    if _positions_all(other, x, seat):
+    if (other ^ x) & (_SEAT_BITS >> (64 - n + seat)) == 0:
         return Prediction(rule, _KINDS[1 - seat], tosses=n)
-    if _positions_all(other, x, 1 - seat):
+    if (other ^ x) & (_SEAT_BITS >> (65 - n - seat)) == 0:
         return Prediction(rule, _KINDS[1 - seat], tosses=n + 1)
     return Prediction(rule, OutcomeKind.INFINITE)
 
@@ -158,11 +196,12 @@ def predict_special_strings(alice: TossString, bob: TossString) -> Prediction | 
     seats = ((alice, bob, 0), (bob, alice, 1))  # (player, opponent, seat)
     for own, other, seat in seats:
         if own.is_constant():
-            return _constant_opponent(own.text[0], other.text, n, seat)
+            return _constant_opponent(own.bits, other.bits, n, seat)
+    # Past here n >= 2: both one-toss strings are constant.
     for own, other, seat in seats:
         # An alternating Alice wins on toss n, an alternating Bob one later.
-        doubled = own.text[0].translate(_SWAP) * 2
-        if own.is_alternating() and other.text[:2] == doubled:
+        doubled = 0b00 if own.bits >> (n - 1) else 0b11
+        if other.bits >> (n - 2) == doubled and own.is_alternating():
             return Prediction(
                 "alternating-vs-doubled", _KINDS[seat], tosses=n + seat
             )

@@ -30,7 +30,6 @@ pops each player's rows uncached, and the per-pair toss-cutoff oracle is
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -40,7 +39,6 @@ MAX_LENGTH = 63  # a packed toss string must fit in one machine word
 _SWAP = str.maketrans("HT", "TH")  # complement of a toss text
 _LETTERS = str.maketrans("01", "HT")  # binary digits of packed bits to toss text
 _DIGITS = str.maketrans("HT", "01")  # toss text to the binary digits of its bits
-_DOUBLE = re.compile("HH|TT")
 
 
 class Toss(Enum):
@@ -116,7 +114,7 @@ class TossString:
         return TossString(self.length, self.bits ^ mask)
 
     def is_constant(self) -> bool:
-        return self.bits == 0 or self.bits == (1 << self.length) - 1
+        return self.bits in (0, (1 << self.length) - 1)
 
     def is_alternating(self) -> bool:
         """True when no two adjacent tosses are equal."""
@@ -124,13 +122,19 @@ class TossString:
 
     def first_double(self) -> int | None:
         """Smallest 1-based k with position k equal to position k+1."""
-        match = _DOUBLE.search(self.text)
-        return match.start() + 1 if match else None
+        n, b = self.length, self.bits
+        # Bit i of `same` is set when the tosses on bits i and i+1 agree;
+        # the highest such bit is the earliest pair.
+        same = ~(b ^ b >> 1) & ((1 << (n - 1)) - 1)
+        return n - same.bit_length() if same else None
 
     def leading_run(self) -> int:
         """Length of the initial run of the first toss."""
-        text = self.text
-        return self.length - len(text.lstrip(text[0]))
+        n, b = self.length, self.bits
+        # In the frame where the first toss is H, the highest set bit is
+        # the first toss that breaks the run.
+        rest = b ^ ((1 << n) - 1) if b >> (n - 1) else b
+        return n - rest.bit_length()
 
     def __len__(self) -> int:
         return self.length

@@ -1,6 +1,7 @@
 """Prediction-rule tests: profile construction against a brute oracle,
-frozen examples for each rule, and exhaustive soundness sweeps that
-compare every fired prediction with the real playout."""
+frozen examples for each rule, exhaustive soundness sweeps that compare
+every fired prediction with the real playout, and the bit-level overlap
+and special-string rules against letter-by-letter references."""
 
 from __future__ import annotations
 
@@ -17,7 +18,9 @@ from noflip.analysis import (
     predict_special_strings,
     run_profile,
 )
-from noflip.engine import OutcomeKind, TossString, play
+from noflip.engine import _KINDS, OutcomeKind, TossString, _seat, play
+
+SWAP = str.maketrans("HT", "TH")
 
 ALICE_WINS = OutcomeKind.ALICE_WINS
 BOB_WINS = OutcomeKind.BOB_WINS
@@ -33,6 +36,53 @@ def all_pairs(n: int):
         for b_code in range(1 << n):
             if a_code != b_code:
                 yield TossString(n, a_code), TossString(n, b_code)
+
+
+# ---------------------------------------------------------------------------
+# letter-by-letter references for the overlap and special-string rules,
+# as first written on the strings' text
+
+
+def ref_large_overlap(a: str, b: str) -> Prediction | None:
+    n = len(a)
+    if a[: n - 1] == b[: n - 1]:
+        return Prediction("equal-but-last", _KINDS[_seat(n)], tosses=n)
+    if a[0] == "T":
+        a, b = a.translate(SWAP), b.translate(SWAP)
+    if a.startswith("HT") and b.startswith("HH") and b[1:] == a[: n - 1]:
+        return Prediction("one-step-shadow", BOB_WINS)
+    if a[:2] == "HH" and b[:4] == "HTHH" and b[4:] == a[2 : n - 2]:
+        return Prediction("two-step-shadow", BOB_WINS)
+    return None
+
+
+def ref_positions_all(text: str, letter: str, seat: int) -> bool:
+    """True when `letter` is at every 1-based position the seat names."""
+    return all(ch == letter for i, ch in enumerate(text, start=1) if _seat(i) == seat)
+
+
+def ref_constant_opponent(x: str, other: str, n: int, seat: int) -> Prediction:
+    rule = "constant-bob" if seat else "constant-alice"
+    if other == x * (n - 1) + x.translate(SWAP) and _seat(n) == seat:
+        return Prediction(rule, _KINDS[seat], tosses=n)
+    if ref_positions_all(other, x, seat):
+        return Prediction(rule, _KINDS[1 - seat], tosses=n)
+    if ref_positions_all(other, x, 1 - seat):
+        return Prediction(rule, _KINDS[1 - seat], tosses=n + 1)
+    return Prediction(rule, INFINITE)
+
+
+def ref_special_strings(a: str, b: str) -> Prediction | None:
+    n = len(a)
+    seats = ((a, b, 0), (b, a, 1))
+    for own, other, seat in seats:
+        if len(set(own)) == 1:
+            return ref_constant_opponent(own[0], other, n, seat)
+    for own, other, seat in seats:
+        alternating = all(own[i] != own[i + 1] for i in range(n - 1))
+        if alternating and other[:2] == own[0].translate(SWAP) * 2:
+            return Prediction("alternating-vs-doubled", _KINDS[seat], tosses=n + seat)
+    return None
 
 
 def brute_longest_run(text: str, letter: str) -> int:
@@ -236,6 +286,103 @@ class TestPredictSpecialStrings:
                 assert outcome.kind is fired.kind, (alice, bob, fired)
                 if fired.tosses is not None:
                     assert outcome.tosses == fired.tosses, (alice, bob, fired)
+
+
+def built_pairs(rng: random.Random, n: int):
+    """Pairs of length n >= 4 built to fire the overlap and special-string
+    rules, each shadow with a near miss, as (alice, bob, rule, frame).
+
+    rule is the rule the pair is built for (None for a near miss).  Frame
+    0 pairs are built with H where the rules' statements have it; frame 1
+    pairs are built the same way and then complemented."""
+
+    def rand(k: int) -> str:
+        return "".join(rng.choice("HT") for _ in range(k))
+
+    def near(text: str) -> str:
+        i = rng.randrange(n)
+        return text[:i] + text[i].translate(SWAP) + text[i + 1 :]
+
+    def seat_pattern(x: str, seat: int) -> str:
+        # x at every toss the seat names, random letters elsewhere.
+        return "".join(
+            x if _seat(i) == seat else rng.choice("HT") for i in range(1, n + 1)
+        )
+
+    def h_frame():
+        a = "H" + rand(n - 1)
+        yield a, a[:-1] + a[-1].translate(SWAP), "equal-but-last"
+        a = "HT" + rand(n - 2)
+        yield a, "H" + a[:-1], "one-step-shadow"
+        yield a, near("H" + a[:-1]), None
+        a = "HH" + rand(n - 2)
+        yield a, "HTHH" + a[2 : n - 2], "two-step-shadow"
+        yield a, near("HTHH" + a[2 : n - 2]), None
+        own = "H" * n
+        for seat, rule in enumerate(("constant-alice", "constant-bob")):
+            near_match = "H" * (n - 1) + "T"
+            others = (seat_pattern("H", 0), seat_pattern("H", 1), near_match, rand(n))
+            for other in others:
+                yield (own, other, rule) if seat == 0 else (other, own, rule)
+        own = ("HT" * n)[:n]
+        yield own, "TT" + rand(n - 2), "alternating-vs-doubled"
+        yield "TT" + rand(n - 2), own, "alternating-vs-doubled"
+        yield own, "HH" + rand(n - 2), None
+
+    for frame in (0, 1):
+        for a, b, rule in h_frame():
+            if frame:
+                a, b = a.translate(SWAP), b.translate(SWAP)
+            if a != b:
+                yield a, b, rule, frame
+
+
+class TestBitRulesMatchTextReferences:
+    """The overlap and special-string rules read the strings' packed bits;
+    here they are held equal to the rules as first written on text."""
+
+    @staticmethod
+    def assert_matches(alice: TossString, bob: TossString, a: str, b: str):
+        assert predict_large_overlap(alice, bob) == ref_large_overlap(a, b), (a, b)
+        assert predict_special_strings(alice, bob) == ref_special_strings(a, b), (a, b)
+
+    def test_every_pair_up_to_nine(self):
+        for n in range(1, 10):
+            strings = [TossString(n, code) for code in range(1 << n)]
+            texts = [s.text for s in strings]
+            for i, alice in enumerate(strings):
+                for j, bob in enumerate(strings):
+                    if i != j:
+                        self.assert_matches(alice, bob, texts[i], texts[j])
+
+    def test_seeded_pairs_built_to_fire_each_rule(self):
+        rng = random.Random(20)
+        fired = set()
+        for n in list(range(10, 64)) * 4:
+            for a, b, rule, frame in built_pairs(rng, n):
+                alice, bob = ts(a), ts(b)
+                self.assert_matches(alice, bob, a, b)
+                for p in all_predictions(alice, bob):
+                    if p.rule == rule:
+                        late = None if p.tosses is None else p.tosses - n
+                        fired.add((rule, p.kind, late, frame, n == 63))
+        # Every rule fired in both frames, also at the longest length.
+        rules = {r for r, _, _, _, _ in fired}
+        assert len(rules) == 6
+        assert {(r, f, last) for r, _, _, f, last in fired} == {
+            (r, f, last) for r in rules for f in (0, 1) for last in (False, True)
+        }
+        # The constant rules took every branch.
+        assert {(r, k, late) for r, k, late, _, _ in fired if "constant" in r} == {
+            ("constant-alice", ALICE_WINS, 0),
+            ("constant-alice", BOB_WINS, 0),
+            ("constant-alice", BOB_WINS, 1),
+            ("constant-alice", INFINITE, None),
+            ("constant-bob", BOB_WINS, 0),
+            ("constant-bob", ALICE_WINS, 0),
+            ("constant-bob", ALICE_WINS, 1),
+            ("constant-bob", INFINITE, None),
+        }
 
 
 class TestMutualConsistency:

@@ -172,6 +172,17 @@ class TestTossString:
         strings += [
             TossString(n, rng.randrange(1 << n)) for n in range(13, 64) for _ in range(200)
         ]
+        # Shapes random long strings almost never take: alternating,
+        # constant, doubled only at the last pair, a leading run of n - 1.
+        for n in range(13, 64):
+            alternating = ("HT" * n)[:n]
+            for text in (
+                alternating,
+                "H" * n,
+                alternating[:-1] + alternating[-2],
+                "H" * (n - 1) + "T",
+            ):
+                strings += [ts(text), ts(text).complement()]
         for s in strings:
             double = oracle_first_double(s.text)
             assert s.first_double() == double
