@@ -76,6 +76,12 @@ class TossString:
     bits: int
 
     def __post_init__(self) -> None:
+        for name in ("length", "bits"):
+            kind = type(getattr(self, name))
+            if kind is not int:  # bool included
+                raise TypeError(
+                    f"toss string {name} must be an int, got {kind.__name__}"
+                )
         if not 1 <= self.length <= MAX_LENGTH:
             raise ValueError(
                 f"toss string length must be 1..{MAX_LENGTH}, got {self.length}"
@@ -445,7 +451,7 @@ def _playout_code(n: int, alice_code: int, bob_code: int) -> tuple[int, int]:
 
 
 def _trie_walk(n: int, alice: tuple[int, int], bob: tuple[int, int], leaf):
-    """Play every pair of strings of length n that extend the known
+    """Play every pair of distinct strings of length n that extend the known
     prefixes ``alice`` and ``bob``, each a (code, length) pair, at once.
     At each branch end call ``leaf(a_code, a_len, b_code, b_len, result,
     tosses)``, and return the first value that is not None.
@@ -462,9 +468,9 @@ def _trie_walk(n: int, alice: tuple[int, int], bob: tuple[int, int], leaf):
     ``1 << (2 * n - a_len - b_len)`` pairs, each prefix in H < T order;
     ``tosses`` counts the path's triplets, one per toss played, and its
     parity says whose turn it is.  Both strings complete on the same toss
-    only when they are identical, and that tie is reported as Alice's win.
-    A prefix given in full is never branched on, so a search against a
-    fixed opponent passes the opponent's whole string.
+    only when they are identical, and that branch calls no leaf.  A prefix
+    given in full is never branched on, so a search against a fixed
+    opponent passes the opponent's whole string.
     """
     ca: list[int] = []
     ra: list[tuple[int, int]] = []
@@ -487,6 +493,8 @@ def _trie_walk(n: int, alice: tuple[int, int], bob: tuple[int, int], leaf):
                 p = ra[p][c]
                 q = rb[q][c]
                 if p == n or q == n:
+                    if p == q:  # a string against itself: not a game
+                        return None
                     return leaf(a_code, la, b_code, lb, int(p != n), len(path))
             for c in (0, 1):
                 if p == la:

@@ -9,17 +9,18 @@ other modules against brute force.
 Census and longest games come from one walk of the engine over both
 players' prefixes at once, pushing and popping each player's rows as the
 game reads their letters; it calls a game infinite when a (progress,
-progress, turn) triplet repeats.  The walk fixes the first string's first
-letter to H, and complements cover the rest.  The no-loss sweep asks the
-forcing search, the same walk with the opponent's whole string pushed,
-once per string; this module passes string prefixes and holds no game
-loop.  The engine's per-pair toss-cutoff replay (no win within
-``finite_toss_bound(n)`` tosses) is their oracle in the ``bound`` and
-``forcing`` suites.  Sweeps are embarrassingly parallel: census and
-longest games over a fixed set of the first string's opening letters,
-the no-loss sweep over disjoint ranges of string codes.  Results merge in
-a fixed order, so parallel and sequential runs produce identical output.
-Pair iteration is in lexicographic order with H < T.
+progress, turn) triplet repeats, and it never plays a string against
+itself.  The walk fixes the first string's first letter to H, and
+complements cover the rest.  The no-loss sweep asks the forcing search,
+the same walk with the opponent's whole string pushed, once per string;
+this module passes string prefixes and holds no game loop.  The engine's
+per-pair toss-cutoff replay (no win within ``finite_toss_bound(n)``
+tosses) is their oracle in the ``bound`` and ``forcing`` suites.  Sweeps
+are embarrassingly parallel, and every sweep splits the same way: one
+chunk per H-first prefix of ``_SPLIT_LETTERS`` letters of the first
+string, whatever the worker count.  Results merge in prefix order, so
+parallel and sequential runs produce identical output.  Pair iteration
+is in lexicographic order with H < T.
 
 The verify suites share work across pairs: ``symmetry`` plays each
 complement class once, from its H-first pair, and reports a fault on both
@@ -37,7 +38,6 @@ from .engine import (
     MAX_LENGTH,
     Player,
     TossString,
-    _ALICE_WIN,
     _KINDS,
     _NO_WIN,
     _SWAP,
@@ -68,26 +68,26 @@ def _check_sweep_args(n: int, cap: int, workers: int) -> None:
         raise ValueError(f"worker count must be positive, got {workers}")
 
 
-def _ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    step = (total + parts - 1) // parts
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+#: Letters of Alice's string, H first, that each sweep chunk fixes in advance:
+#: a fixed split, so the chunks and their merge do not depend on the workers.
+_SPLIT_LETTERS = 4
 
 
-def _run_chunks(worker, tasks: list, workers: int) -> list:
-    if workers == 1 or len(tasks) == 1:
+def _run_chunks(worker, n: int, workers: int) -> list:
+    """Run ``worker`` on each task ``(n, prefix, length)``, one per H-first
+    prefix of Alice's string of ``length = min(n, _SPLIT_LETTERS)``
+    letters, and return the results in prefix order."""
+    length = min(n, _SPLIT_LETTERS)
+    tasks = [(n, prefix, length) for prefix in range(1 << (length - 1))]
+    size = min(workers, len(tasks), os.cpu_count() or 1)
+    if size == 1:
         return [worker(task) for task in tasks]
     # Imported here: multiprocessing would slow every command's start-up.
     from concurrent.futures import ProcessPoolExecutor
 
     # Results come back in task order, whichever process ran each task.
-    size = min(workers, len(tasks), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(worker, tasks))
-
-
-#: Letters of Alice's string, H first, that each sweep chunk fixes in advance:
-#: a fixed split, so the chunks and their merge do not depend on the workers.
-_SPLIT_LETTERS = 4
 
 
 def _sweep_chunk(args: tuple[int, int, int]) -> tuple[list[int], int, list]:
@@ -118,27 +118,20 @@ def _sweep(n: int, cap: int, workers: int) -> tuple[list[int], int, list]:
     outcome counts, the longest finite game and its witness code pairs.
 
     The walk fixes Alice's first letter to H; complementing both strings
-    mirrors a game, so every count doubles.  Each string against itself
-    ties, read as Alice's win, so those 2^n pairs leave her count again."""
+    mirrors a game, so every count doubles."""
     _check_sweep_args(n, cap, workers)
-    length = min(n, _SPLIT_LETTERS)
-    tasks = [(n, prefix, length) for prefix in range(1 << (length - 1))]
-    chunks = _run_chunks(_sweep_chunk, tasks, workers)
-    size = 1 << n
+    chunks = _run_chunks(_sweep_chunk, n, workers)
     counts = [2 * sum(c[0][result] for c in chunks) for result in range(3)]
-    counts[_ALICE_WIN] -= size
     best = max(c[1] for c in chunks)
-    # The witnesses are every completion of the two prefixes at the longest
-    # game but the diagonal, and their complements.
-    mask = size - 1
+    # Witnesses: every completion of each longest-game branch end, and its complement.
+    mask = (1 << n) - 1
     witnesses = []
     ends = [end for c in chunks if c[1] == best for end in c[2]]
     for a_code, a_len, b_code, b_len in ends:
         sa, sb = n - a_len, n - b_len
         for a in range(a_code << sa, (a_code + 1) << sa):
             for b in range(b_code << sb, (b_code + 1) << sb):
-                if a != b:
-                    witnesses += (a, b), (a ^ mask, b ^ mask)
+                witnesses += (a, b), (a ^ mask, b ^ mask)
     witnesses.sort()
     return counts, best, witnesses
 
@@ -206,11 +199,12 @@ def longest_finite(
 
 
 def _no_loss_chunk(args: tuple[int, int, int]) -> list[int]:
-    """Non-constant codes in the range against which Bob cannot force a loss."""
-    n, lo, hi = args
+    """Non-constant codes under one prefix against which Bob cannot force a loss."""
+    n, prefix, length = args
+    shift = n - length
     return [
         code
-        for code in range(max(lo, 1), hi)
+        for code in range(max(prefix << shift, 1), (prefix + 1) << shift)
         if forcing._first_loss(Player.BOB, n, code) is None
     ]
 
@@ -222,9 +216,7 @@ def no_loss_strings(
     string can ever make win: against them, the second player cannot
     throw the game."""
     _check_sweep_args(n, cap, workers)
-    # H-first strings occupy codes 0 .. 2^(n-1)-1; code 0 is the constant.
-    spans = _ranges(1 << (n - 1), workers)
-    chunks = _run_chunks(_no_loss_chunk, [(n, lo, hi) for lo, hi in spans], workers)
+    chunks = _run_chunks(_no_loss_chunk, n, workers)
     return [TossString(n, code) for chunk in chunks for code in chunk]
 
 

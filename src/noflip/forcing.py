@@ -128,23 +128,20 @@ def _first_loss(role: Player, n: int, opponent_code: int) -> int | None:
     ``role`` loses to the opponent string ``opponent_code``; None if no
     string does.  The first branch end of :func:`~noflip.engine._trie_walk`,
     with the opponent's whole string pushed, that the opponent wins holds
-    it, its prefix padded with H.  A tie reads as Alice's win, so Bob skips
-    his copy of her string."""
+    it, its prefix padded with H; the walk never reaches the opponent's
+    own string, so one leaf serves both seats."""
     lost = _KINDS.index(_GOAL_KINDS[role, ForceGoal.LOSS])
-    opponent = (opponent_code, n)
-    if role is Player.ALICE:
+    seats = [(0, 0), (opponent_code, n)]  # the searcher's prefix, then the opponent's
+    if role is Player.BOB:
+        seats.reverse()
 
-        def alice_loses(a_code, a_len, b_code, b_len, result, tosses):
-            return a_code << (n - a_len) if result == lost else None
+    def loses(a_code, a_len, b_code, b_len, result, tosses):
+        if result != lost:
+            return None
+        code, length = (a_code, a_len) if role is Player.ALICE else (b_code, b_len)
+        return code << (n - length)
 
-        return _trie_walk(n, (0, 0), opponent, alice_loses)
-
-    def bob_loses(a_code, a_len, b_code, b_len, result, tosses):
-        if result == lost and (b_len < n or b_code != opponent_code):
-            return b_code << (n - b_len)
-        return None
-
-    return _trie_walk(n, opponent, (0, 0), bob_loses)
+    return _trie_walk(n, *seats, loses)
 
 
 # ---------------------------------------------------------------------------

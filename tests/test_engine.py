@@ -116,6 +116,13 @@ class TestTossString:
         with pytest.raises(ValueError, match=message):
             TossString(length, bits)
 
+    @pytest.mark.parametrize("field", ["length", "bits"])
+    @pytest.mark.parametrize("bad", [1.0, True, "1"], ids=["float", "bool", "str"])
+    def test_constructor_rejects_fields_that_are_not_ints(self, field, bad):
+        fields = {"length": 3, "bits": 1, field: bad}
+        with pytest.raises(TypeError, match=f"{field} must be an int"):
+            TossString(**fields)
+
     def test_rejects_overlong(self):
         TossString.from_text("H" * 63)  # the boundary itself is fine
         with pytest.raises(ValueError):

@@ -22,7 +22,6 @@ from noflip import (
 )
 from noflip.analysis import Prediction
 from noflip.engine import (
-    _ALICE_WIN,
     _KINDS,
     _NO_WIN,
     _playout_code,
@@ -162,6 +161,11 @@ class TestCensus:
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
         assert census(4, workers=50) == census(4)
         assert opened == [2]
+        # With one CPU every sweep runs inline, however many workers it asks for.
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 1)
+        assert census(4, workers=50) == census(4)
+        assert no_loss_strings(4, workers=50) == [ts("HHTT")]
+        assert opened == [2]
 
 
 @functools.lru_cache(maxsize=None)
@@ -281,21 +285,21 @@ class TestSweepKernel:
 
 
 def walk_against(n, opponent, searcher):
-    """{code: (result, tosses)} over every string of the searcher, each
-    settled by exactly one branch end of the walk against the opponent's
-    whole string."""
+    """{code: (result, tosses)} over every string of the searcher but the
+    opponent's own, each settled by exactly one branch end of the walk
+    against the opponent's whole string; no branch end holds a string
+    against itself."""
     settled = {}
     fixed = (opponent, n)
 
     def leaf(a_code, a_len, b_code, b_len, result, tosses):
+        assert not (a_len == b_len == n and a_code == b_code)
         if searcher is Player.ALICE:
             assert (b_code, b_len) == fixed
             code, shift = a_code, n - a_len
         else:
             assert (a_code, a_len) == fixed
             code, shift = b_code, n - b_len
-        if code == opponent >> shift:
-            assert shift == 0  # the tie with the opponent's own string
         for own in range(code << shift, (code + 1) << shift):
             assert own not in settled
             settled[own] = result, tosses
@@ -304,15 +308,11 @@ def walk_against(n, opponent, searcher):
         assert _trie_walk(n, (0, 0), fixed, leaf) is None
     else:
         assert _trie_walk(n, fixed, (0, 0), leaf) is None
-    assert sorted(settled) == list(range(1 << n))
-    # The opponent's own string ties at toss n, read as Alice's win.
-    assert settled[opponent] == (_ALICE_WIN, n)
+    assert sorted(settled) == [code for code in range(1 << n) if code != opponent]
     return settled
 
 
 def assert_settled_like_the_oracle(n, a, b, result, tosses):
-    if a == b:
-        return
     want, played = _playout_code(n, a, b)
     assert result == want, (n, a, b)
     if result != _NO_WIN:
@@ -436,8 +436,16 @@ class TestNoLossStrings:
                 expected.append(alice)
         assert no_loss_strings(n) == expected
 
-    def test_parallel_matches_sequential(self):
-        assert no_loss_strings(6, workers=3) == no_loss_strings(6)
+    # Below n = 4 there are fewer split letters, so fewer chunks than workers.
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_parallel_matches_sequential(self, n, workers):
+        expected = [
+            TossString(n, code)
+            for code in range(1, 1 << (n - 1))
+            if forcing._first_loss(Player.BOB, n, code) is None
+        ]
+        assert no_loss_strings(n, workers=workers) == expected
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_matches_the_forcing_search(self, n):
