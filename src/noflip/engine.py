@@ -26,6 +26,10 @@ tables: the sweeps and the forcing search pass string prefixes to
 :func:`_trie_walk`, one walk over both players' prefixes that pushes and
 pops each player's rows uncached, and the per-pair toss-cutoff oracle is
 :func:`_playout_code`.
+
+:func:`play` is the one playout that keeps a trace.  It records the
+trace packed, as toss codes and progress bytes in a :class:`GameTrace`,
+whose ``tosses``, ``states`` and ``text`` are built only when read.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ MAX_LENGTH = 63  # a packed toss string must fit in one machine word
 _SWAP = str.maketrans("HT", "TH")  # complement of a toss text
 _LETTERS = str.maketrans("01", "HT")  # binary digits of packed bits to toss text
 _DIGITS = str.maketrans("HT", "01")  # toss text to the binary digits of its bits
+_CODE_LETTERS = bytes.maketrans(b"\0\1", b"HT")  # toss codes to toss text
 
 
 class Toss(Enum):
@@ -250,6 +255,12 @@ class GameState:
     k: int
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "k"):
+            kind = type(getattr(self, name))
+            if kind is not int:  # bool included
+                raise TypeError(
+                    f"game state {name} must be an int, got {kind.__name__}"
+                )
         if self.a < 0 or self.b < 0 or self.k < 0:
             raise ValueError("progress values and toss count must be non-negative")
 
@@ -330,14 +341,31 @@ class Outcome:
 
 @dataclass(frozen=True)
 class GameTrace:
-    """Emitted tosses plus the state before each toss and one terminal state."""
+    """A playout, packed: ``codes`` holds one byte per toss, 0 for H and
+    1 for T; ``progress`` holds the (alice, bob) progress pair before the
+    first toss and after every toss, flattened, so the pair after toss k
+    sits at bytes 2k and 2k + 1.
 
-    tosses: tuple[Toss, ...]
-    states: tuple[GameState, ...]
+    ``tosses``, ``states`` (the state before each toss and one terminal
+    state) and ``text`` are built from these bytes each time they are
+    read; callers that only need the outcome never build them.
+    """
+
+    codes: bytes
+    progress: bytes
+
+    @property
+    def tosses(self) -> tuple[Toss, ...]:
+        return tuple([_TOSSES[c] for c in self.codes])
+
+    @property
+    def states(self) -> tuple[GameState, ...]:
+        p = self.progress
+        return tuple([_state(p[i], p[i + 1], i >> 1) for i in range(0, len(p), 2)])
 
     @property
     def text(self) -> str:
-        return "".join([t._value_ for t in self.tosses])
+        return self.codes.translate(_CODE_LETTERS).decode()
 
 
 def finite_toss_bound(n: int) -> int:
@@ -403,8 +431,8 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
     # A repeat key packs (a, b, turn) into one int: a, b < n <= 63 while it runs.
     a = b = k = 0
     seen: dict[int, int] = {}
-    tosses: list[Toss] = []
-    states = [START_STATE]
+    codes: list[int] = []
+    progress = [0, 0]
     outcome: Outcome
 
     while True:
@@ -418,8 +446,9 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
         a = ra[a][c]
         b = rb[b][c]
         k += 1
-        tosses.append(_TOSSES[c])
-        states.append(_state(a, b, k))
+        codes.append(c)
+        progress.append(a)
+        progress.append(b)
         if a == n or b == n:
             outcome = Outcome(_KINDS[a != n], tosses=k)
             break
@@ -431,7 +460,7 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
             f"{alice.text}/{bob.text}: {outcome.describe()} is past the toss "
             f"bound {bound}"
         )
-    return outcome, GameTrace(tuple(tosses), tuple(states))
+    return outcome, GameTrace(bytes(codes), bytes(progress))
 
 
 def _playout_code(n: int, alice_code: int, bob_code: int) -> tuple[int, int]:

@@ -40,7 +40,6 @@ from .engine import (
     TossString,
     _KINDS,
     _NO_WIN,
-    _SWAP,
     _TURNS,
     _playout_code,
     _trie_walk,
@@ -239,6 +238,7 @@ class VerifyReport:
 
 
 _FORBIDDEN = {(0, 0, 1), (0, 1, 1), (1, 0, 0)}  # (a, b, seat to move)
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # complement of packed toss codes
 
 
 def _pair_suite(check, n: int) -> tuple[int, list[str]]:
@@ -285,20 +285,32 @@ def _bound_check(alice: TossString, bob: TossString, scan):
             yield "repeat found after the counting bound"
     elif outcome.tosses > bound:
         yield "finite game beyond the counting bound"
-    for before, after in zip(trace.states, trace.states[1:]):
-        moved = after.b - before.b if before.k & 1 else after.a - before.a
-        if moved != 1:
-            yield f"mover progress changed by {moved}"
-    for s in trace.states:
-        seat = s.k & 1
-        if (s.a, s.b, seat) in _FORBIDDEN:
-            yield f"forbidden state {(s.a, s.b, _TURNS[seat].value)}"
-    if n <= 6:
+    # One pass over the packed (a, b) pairs, the pair after toss k at
+    # 2k; each check's reasons are yielded in turn.
+    moves: list[str] = []
+    forbidden: list[str] = []
+    scans: list[str] = []
+    oracle = n <= 6
+    if oracle:
         text, a_text, b_text = trace.text, alice.text, bob.text
-        for s in trace.states:
-            output = text[: s.k]
-            if s.a != scan(a_text, output) or s.b != scan(b_text, output):
-                yield "automaton disagrees with scan oracle"
+    pairs = iter(trace.progress)
+    last_a = last_b = 0
+    for k, (a, b) in enumerate(zip(pairs, pairs)):
+        seat = k & 1  # to move next; the mover of toss k sat in the other seat
+        if k:
+            moved = a - last_a if seat else b - last_b
+            if moved != 1:
+                moves.append(f"mover progress changed by {moved}")
+        if (a, b, seat) in _FORBIDDEN:
+            forbidden.append(f"forbidden state {(a, b, _TURNS[seat].value)}")
+        if oracle:
+            output = text[:k]
+            if a != scan(a_text, output) or b != scan(b_text, output):
+                scans.append("automaton disagrees with scan oracle")
+        last_a, last_b = a, b
+    yield from moves
+    yield from forbidden
+    yield from scans
 
 
 def _predicates_check(alice: TossString, bob: TossString):
@@ -384,7 +396,7 @@ def _symmetry_suite(n: int) -> tuple[int, list[str]]:
             reasons = []
             if mirrored != outcome:
                 reasons.append("outcome changes under complementation")
-            if mirrored_trace.text != trace.text.translate(_SWAP):
+            if mirrored_trace.codes != trace.codes.translate(_FLIP):
                 reasons.append("trace does not mirror under complementation")
             for reason in reasons:
                 found += (a, b, reason), (a ^ mask, b ^ mask, reason)

@@ -398,6 +398,41 @@ class TestMutualConsistency:
         with pytest.raises(ValueError):
             predict_large_overlap(ts("HT"), ts("HTT"))
 
+    @pytest.mark.parametrize(
+        "predict",
+        [
+            predict_by_runs,
+            predict_large_overlap,
+            predict_special_strings,
+            all_predictions,
+        ],
+    )
+    @pytest.mark.parametrize(
+        "alice,bob,message",
+        [
+            ("HT", "HTT", "must have equal length"),
+            ("HTT", "HT", "must have equal length"),
+            ("HT", "HT", "must be distinct"),
+            ("T" * 63, "T" * 63, "must be distinct"),
+        ],
+    )
+    def test_every_entry_point_rejects_a_bad_pair(self, predict, alice, bob, message):
+        with pytest.raises(ValueError, match=message):
+            predict(ts(alice), ts(bob))
+
+    def test_all_predictions_is_the_three_predictors_in_order(self):
+        # all_predictions checks the pair once and runs the rule bodies;
+        # it must fire exactly what the three checked predictors fire.
+        for n in range(1, 9):
+            for alice, bob in all_pairs(n):
+                fired = [
+                    predict_by_runs(alice, bob),
+                    predict_large_overlap(alice, bob),
+                    predict_special_strings(alice, bob),
+                ]
+                want = [p for p in fired if p is not None]
+                assert all_predictions(alice, bob) == want, (alice, bob)
+
 
 class TestWhereRulesFire:
     def test_rule_and_kind_counts_over_every_pair_up_to_seven(self):

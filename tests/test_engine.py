@@ -375,6 +375,27 @@ class TestPlay:
         states = play(ts("HHTT"), ts("THHH"))[1].states
         assert [(s.a, s.b, s.turn, s.k) for s in states] == WORKED_EXAMPLE_STATES
 
+    def test_trace_is_packed_as_toss_codes_and_progress_bytes(self):
+        # HH/TH: Alice names H, Bob T, Alice H, and Bob's TH appears.
+        _, trace = play(ts("HH"), ts("TH"))
+        assert trace.codes == b"\x00\x01\x00"
+        assert trace.progress == bytes([0, 0, 1, 0, 0, 1, 1, 2])
+        assert trace.tosses == (H, T, H)
+        assert trace.states == (
+            state(0, 0, A, 0), state(1, 0, B, 1), state(0, 1, A, 2), state(1, 2, B, 3)
+        )
+        assert trace == GameTrace(trace.codes, trace.progress)
+
+    def test_traces_of_one_pair_are_equal_and_hash_alike(self):
+        pairs = [("HHTT", "THHH"), ("HH", "TT"), ("H", "T"), ("HT" * 31 + "H", "T" * 63)]
+        for alice, bob in pairs:
+            first = play(ts(alice), ts(bob))[1]
+            second = play(ts(alice), ts(bob))[1]
+            assert first is not second
+            assert first == second and hash(first) == hash(second)
+            assert {first: alice}[second] == alice
+        assert play(ts("HH"), ts("TT"))[1] != play(ts("TT"), ts("HH"))[1]
+
     def test_shared_first_character_moves_both(self):
         states = play(ts("HHTT"), ts("HTHH"))[1].states
         assert states[1] == state(1, 1, B, 1)
@@ -593,10 +614,13 @@ class TestPlayoutInvariants:
         for alice, bob in stepwise_pairs():
             auto_a = ProgressAutomaton.build(alice)
             auto_b = ProgressAutomaton.build(bob)
-            want = stepwise_playout(alice, bob, auto_a, auto_b)
-            got = play(alice, bob)
-            assert got == want, (alice, bob)
-            for fast, checked in zip(got[1].states, want[1].states):
+            outcome, tosses, states = stepwise_playout(alice, bob, auto_a, auto_b)
+            got, trace = play(alice, bob)
+            assert got == outcome, (alice, bob)
+            assert trace.tosses == tosses, (alice, bob)
+            assert trace.states == states, (alice, bob)
+            assert trace.text == "".join(t.value for t in tosses), (alice, bob)
+            for fast, checked in zip(trace.states, states):
                 assert fast == checked and hash(fast) == hash(checked)
                 assert type(fast) is GameState
 
@@ -607,6 +631,13 @@ class TestPlayoutInvariants:
             if alice.length > 7
         )
         assert 60 <= longest <= finite_toss_bound(MAX_LENGTH)
+
+    @pytest.mark.parametrize("field", ["a", "b", "k"])
+    @pytest.mark.parametrize("bad", [1.0, True, "1"], ids=["float", "bool", "str"])
+    def test_state_constructor_rejects_fields_that_are_not_ints(self, field, bad):
+        fields = {"a": 0, "b": 0, "k": 0, field: bad}
+        with pytest.raises(TypeError, match=f"game state {field} must be an int"):
+            GameState(**fields)
 
     def test_public_state_constructor_still_checks_the_turn(self):
         _, trace = play(ts("HHTT"), ts("THHH"))
@@ -620,7 +651,8 @@ class TestPlayoutInvariants:
 def stepwise_playout(alice, bob, auto_a, auto_b):
     """Reference playout through the public step API: ``next_choice``,
     ``advance`` and the checked ``GameState`` constructor, stopping at a
-    win or at the first repeated (a, b, turn) triplet."""
+    win or at the first repeated (a, b, turn) triplet.  Returns the
+    outcome, the tosses and the states as tuples of objects."""
     n = alice.length
     current = START_STATE
     tosses, states = [], [current]
@@ -640,7 +672,7 @@ def stepwise_playout(alice, bob, auto_a, auto_b):
     else:
         entry = seen[current.triplet]
         outcome = Outcome.infinite(entry, current.k - entry)
-    return outcome, GameTrace(tuple(tosses), tuple(states))
+    return outcome, tuple(tosses), tuple(states)
 
 
 def stepwise_pairs():

@@ -10,12 +10,10 @@ from noflip import (
     ForceGoal,
     ForceResult,
     ForceStatus,
-    GameState,
     GameTrace,
     Outcome,
     OutcomeKind,
     Player,
-    Toss,
     TossString,
     finite_toss_bound,
     play,
@@ -520,10 +518,11 @@ class TestVerifyViolations:
         monkeypatch.setattr(enumeration, "play", play_with_fault)
 
     @staticmethod
-    def with_state(trace, j, state):
-        states = list(trace.states)
-        states[j] = state
-        return GameTrace(trace.tosses, tuple(states))
+    def with_progress(trace, k, a, b):
+        """The trace with the progress pair after toss k set to (a, b)."""
+        progress = bytearray(trace.progress)
+        progress[2 * k : 2 * k + 2] = a, b
+        return GameTrace(trace.codes, bytes(progress))
 
     def test_swapped_winner(self, monkeypatch):
         self.patch_play(
@@ -548,8 +547,9 @@ class TestVerifyViolations:
 
     def test_forbidden_state(self, monkeypatch):
         # Alice's first toss always matches her own first letter.
-        bad = GameState(0, 0, 1)
-        self.patch_play(monkeypatch, ("HH", "TH"), lambda o, t: (o, self.with_state(t, 1, bad)))
+        self.patch_play(
+            monkeypatch, ("HH", "TH"), lambda o, t: (o, self.with_progress(t, 1, 0, 0))
+        )
         assert verify_suite(2, "bound").violations == (
             "HH/TH: mover progress changed by 0",
             "HH/TH: forbidden state (0, 0, 'B')",
@@ -557,8 +557,10 @@ class TestVerifyViolations:
         )
 
     def test_wrong_progress_value(self, monkeypatch):
-        bad = GameState(2, 2, 3)  # Alice's progress is really 1
-        self.patch_play(monkeypatch, ("HH", "TH"), lambda o, t: (o, self.with_state(t, 3, bad)))
+        # Alice's progress after toss 3 is really 1.
+        self.patch_play(
+            monkeypatch, ("HH", "TH"), lambda o, t: (o, self.with_progress(t, 3, 2, 2))
+        )
         assert verify_suite(2, "bound").violations == (
             "HH/TH: mover progress changed by 2",
             "HH/TH: automaton disagrees with scan oracle",
@@ -573,9 +575,9 @@ class TestVerifyViolations:
         )
 
     def test_trace_breaks_complement_symmetry(self, monkeypatch):
-        tosses = (Toss.T, Toss.T, Toss.T)
+        codes = b"\x01\x01\x01"  # T, T, T
         self.patch_play(
-            monkeypatch, ("TT", "HT"), lambda o, t: (o, GameTrace(tosses, t.states))
+            monkeypatch, ("TT", "HT"), lambda o, t: (o, GameTrace(codes, t.progress))
         )
         assert verify_suite(2, "symmetry").violations == (
             "HH/TH: trace does not mirror under complementation",
@@ -745,8 +747,9 @@ def wrong_outcome(outcome, trace):
 
 
 def wrong_trace(outcome, trace):
-    states = tuple(GameState(0, 0, s.k) for s in trace.states)
-    return outcome, GameTrace((Toss.T,) * len(trace.tosses), states)
+    # Every toss a T and every progress value 0.
+    codes = b"\x01" * len(trace.codes)
+    return outcome, GameTrace(codes, bytes(len(trace.progress)))
 
 
 def wrong_both(outcome, trace):
