@@ -17,9 +17,10 @@ checks on every playout.
 Progress updates are answered by a precomputed pattern-matching
 automaton per string: its Knuth-Morris-Pratt transition rows, where
 each new state copies the row of its fallback state, so each toss
-costs O(1).  The direct suffix-comparison formula is kept as
-:func:`scan_progress` and serves as an independent oracle for the
-automaton in the test suite.
+costs O(1).  A built table's rows are interned in ``_ROWS``, so the
+cached tables share one tuple per distinct (H, T) row.  The direct
+suffix-comparison formula is kept as :func:`scan_progress` and serves
+as an independent oracle for the automaton in the test suite.
 
 Every game loop lives here, and no other module reads the automaton
 tables: the sweeps and the forcing search pass string prefixes to
@@ -178,15 +179,21 @@ def _kmp_push(
     return row[c]
 
 
+# Every row a built table holds, mapped to its one shared tuple.  Both
+# entries of a row lie in 0..MAX_LENGTH, so it never exceeds 64 * 64 rows.
+_ROWS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
 def _kmp_tables(
     length: int, bits: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """The string as 0 (H) / 1 (T) characters, first toss first, with its
-    transition rows, built one character at a time by :func:`_kmp_push`."""
+    transition rows, built one character at a time by :func:`_kmp_push`.
+    Each row is the one interned in ``_ROWS``, so tables share equal rows."""
     chars: list[int] = []
     rows: list[tuple[int, int]] = []
     _push_string(chars, rows, length, bits)
-    return tuple(chars), tuple(rows)
+    return tuple(chars), tuple(map(_ROWS.setdefault, rows, rows))
 
 
 def _push_string(
@@ -354,6 +361,21 @@ class GameTrace:
     codes: bytes
     progress: bytes
 
+    def __post_init__(self) -> None:
+        for name in ("codes", "progress"):
+            kind = type(getattr(self, name))
+            if kind is not bytes:
+                raise TypeError(
+                    f"game trace {name} must be bytes, got {kind.__name__}"
+                )
+        if self.codes.translate(None, b"\0\1"):
+            raise ValueError("toss codes must be 0 (H) or 1 (T)")
+        if len(self.progress) != 2 * len(self.codes) + 2:
+            raise ValueError(
+                f"{len(self.codes)} tosses need {2 * len(self.codes) + 2} "
+                f"progress bytes, got {len(self.progress)}"
+            )
+
     @property
     def tosses(self) -> tuple[Toss, ...]:
         return tuple([_TOSSES[c] for c in self.codes])
@@ -366,6 +388,28 @@ class GameTrace:
     @property
     def text(self) -> str:
         return self.codes.translate(_CODE_LETTERS).decode()
+
+
+def _outcome(
+    kind: OutcomeKind, tosses: int | None, entry: int | None, period: int | None
+) -> Outcome:
+    """An :class:`Outcome` set field by field, skipping the dataclass
+    ``__init__``, for the one result of each :func:`play`."""
+    o = _new(Outcome)
+    _set(o, "kind", kind)
+    _set(o, "tosses", tosses)
+    _set(o, "entry", entry)
+    _set(o, "period", period)
+    return o
+
+
+def _trace(codes: bytes, progress: bytes) -> GameTrace:
+    """A :class:`GameTrace` without the ``__post_init__`` checks, for the
+    traces that :func:`play` makes consistent by construction."""
+    t = _new(GameTrace)
+    _set(t, "codes", codes)
+    _set(t, "progress", progress)
+    return t
 
 
 def finite_toss_bound(n: int) -> int:
@@ -439,7 +483,7 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
         key = a << 7 | b << 1 | k & 1
         if key in seen:
             entry = seen[key]
-            outcome = Outcome.infinite(entry, k - entry)
+            outcome = _outcome(_KINDS[_NO_WIN], None, entry, k - entry)
             break
         seen[key] = k
         c = cb[b] if k & 1 else ca[a]
@@ -450,7 +494,7 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
         progress.append(a)
         progress.append(b)
         if a == n or b == n:
-            outcome = Outcome(_KINDS[a != n], tosses=k)
+            outcome = _outcome(_KINDS[a != n], k, None, None)
             break
 
     # A win lands on toss k and a repeat is found at toss entry + period == k.
@@ -460,7 +504,7 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
             f"{alice.text}/{bob.text}: {outcome.describe()} is past the toss "
             f"bound {bound}"
         )
-    return outcome, GameTrace(bytes(codes), bytes(progress))
+    return outcome, _trace(bytes(codes), bytes(progress))
 
 
 def _playout_code(n: int, alice_code: int, bob_code: int) -> tuple[int, int]:

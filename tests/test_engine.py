@@ -23,7 +23,10 @@ from noflip.engine import (
     START_STATE,
     Toss,
     TossString,
+    _ROWS,
     _TURNS,
+    _kmp_tables,
+    _push_string,
     _seat,
     advance,
     finite_toss_bound,
@@ -297,6 +300,50 @@ class TestProgressAutomaton:
                     )
 
 
+class TestSharedRows:
+    @staticmethod
+    def strings():
+        """Every string with n <= 10, then seeded strings for n = 11..63."""
+        rng = random.Random(4096)
+        yield from (s for n in range(1, 11) for s in all_strings(n))
+        for n in range(11, MAX_LENGTH + 1):
+            for _ in range(8):
+                yield TossString(n, rng.getrandbits(n))
+
+    def test_tables_hold_the_pushed_rows_interned(self):
+        for s in self.strings():
+            chars: list[int] = []
+            rows: list[tuple[int, int]] = []
+            _push_string(chars, rows, s.length, s.bits)
+            built_chars, built_rows = _kmp_tables(s.length, s.bits)
+            assert built_chars == tuple(chars)
+            assert built_rows == tuple(rows), s.text
+            for row in built_rows:
+                assert row is _ROWS[row]
+
+    def test_every_length_keeps_the_interned_rows_bounded(self):
+        for n in range(1, MAX_LENGTH + 1):
+            for bits in (0, (1 << n) - 1, 0x5555555555555555 & ((1 << n) - 1)):
+                _kmp_tables(n, bits)
+        assert len(_ROWS) <= 64 * 64
+        assert all(0 <= x <= MAX_LENGTH and 0 <= y <= MAX_LENGTH for x, y in _ROWS)
+
+    def test_no_row_is_interned_at_import(self):
+        script = (
+            "import noflip, noflip.cli, noflip.engine as e\n"
+            "assert not e._ROWS, len(e._ROWS)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(noflip.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # single-step operations
 
@@ -395,6 +442,48 @@ class TestPlay:
             assert first == second and hash(first) == hash(second)
             assert {first: alice}[second] == alice
         assert play(ts("HH"), ts("TT"))[1] != play(ts("TT"), ts("HH"))[1]
+
+    def test_results_match_publicly_constructed_ones(self):
+        # play builds its Outcome and GameTrace without the dataclass
+        # __init__; they must still compare, hash and print like the ones
+        # the public constructors give for the stepwise playout.
+        for n in range(1, 6):
+            autos = {s: ProgressAutomaton.build(s) for s in all_strings(n)}
+            for alice in all_strings(n):
+                for bob in all_strings(n):
+                    if alice == bob:
+                        continue
+                    public, tosses, states = stepwise_playout(
+                        alice, bob, autos[alice], autos[bob]
+                    )
+                    rebuilt = GameTrace(
+                        bytes([t is T for t in tosses]),
+                        bytes([p for s in states for p in (s.a, s.b)]),
+                    )
+                    for built, made in zip(play(alice, bob), (public, rebuilt)):
+                        assert built == made and made == built
+                        assert hash(built) == hash(made)
+                        assert repr(built) == repr(made)
+
+    @pytest.mark.parametrize(
+        "codes, progress, error, message",
+        [
+            (b"\x02", b"\0" * 4, ValueError, "toss codes must be 0"),
+            (b"\0", b"\0", ValueError, "1 tosses need 4 progress bytes, got 1"),
+            (b"", b"\0" * 4, ValueError, "0 tosses need 2 progress bytes, got 4"),
+            ([0], b"\0" * 4, TypeError, "game trace codes must be bytes, got list"),
+            (b"\0", bytearray(4), TypeError, "game trace progress must be bytes"),
+        ],
+        ids=["code", "short", "long", "codes-list", "progress-bytearray"],
+    )
+    def test_trace_constructor_rejects_bad_fields(self, codes, progress, error, message):
+        with pytest.raises(error, match=message):
+            GameTrace(codes, progress)
+
+    def test_trace_constructor_accepts_a_valid_trace(self):
+        trace = GameTrace(b"\x00\x01\x00", bytes([0, 0, 1, 0, 0, 1, 1, 2]))
+        assert trace == play(ts("HH"), ts("TH"))[1]
+        assert GameTrace(b"", b"\0\0").states == (START_STATE,)
 
     def test_shared_first_character_moves_both(self):
         states = play(ts("HHTT"), ts("HTHH"))[1].states

@@ -22,6 +22,7 @@ from noflip.analysis import Prediction
 from noflip.engine import (
     _KINDS,
     _NO_WIN,
+    _ROWS,
     _playout_code,
     _tables_for,
     _trie_walk,
@@ -251,12 +252,15 @@ class TestSweepKernel:
 
     def test_sweeps_leave_the_table_cache_alone(self):
         # The walk pushes and pops both players' rows uncached, so a sweep
-        # neither grows the cache nor pushes out the tables play reads.
+        # neither grows the cache nor pushes out the tables play reads, and
+        # interns no row.
         _tables_for.cache_clear()
+        _ROWS.clear()
         census(6, workers=1)
         longest_finite(6, workers=1)
         no_loss_strings(6, workers=1)
         assert _tables_for.cache_info().currsize == 0
+        assert not _ROWS
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_alice_searching_matches_the_per_pair_oracle(self, n):
