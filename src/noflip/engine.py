@@ -25,7 +25,9 @@ as an independent oracle for the automaton in the test suite.
 Every game loop lives here, and no other module reads the automaton
 tables: the sweeps and the forcing search pass string prefixes to
 :func:`_trie_walk`, one walk over both players' prefixes that pushes and
-pops each player's rows uncached, and the per-pair toss-cutoff oracle is
+pops each player's rows uncached and returns the set of one seat's
+strings its branch ends settled, pruning a subtree once every string of
+that seat in it is settled; the per-pair toss-cutoff oracle is
 :func:`_playout_code`.
 
 :func:`play` is the one playout that keeps a trace.  It records the
@@ -523,11 +525,16 @@ def _playout_code(n: int, alice_code: int, bob_code: int) -> tuple[int, int]:
     return _NO_WIN, bound
 
 
-def _trie_walk(n: int, alice: tuple[int, int], bob: tuple[int, int], leaf):
+def _trie_walk(
+    n: int, alice: tuple[int, int], bob: tuple[int, int], leaf, owner: int = 0
+) -> int:
     """Play every pair of distinct strings of length n that extend the known
     prefixes ``alice`` and ``bob``, each a (code, length) pair, at once.
     At each branch end call ``leaf(a_code, a_len, b_code, b_len, result,
-    tosses)``, and return the first value that is not None.
+    tosses)``; a truthy return settles every completion of the ``owner``
+    seat's prefix there (0 for Alice, 1 for Bob).  Return the settled set
+    as a mask over the owner's completions of its starting prefix: bit i
+    is its i-th completion in H < T order.
 
     The walk keeps each player's characters and Knuth-Morris-Pratt rows on
     a stack of its own and plays while both progress values lie inside the
@@ -544,14 +551,22 @@ def _trie_walk(n: int, alice: tuple[int, int], bob: tuple[int, int], leaf):
     only when they are identical, and that branch calls no leaf.  A prefix
     given in full is never branched on, so a search against a fixed
     opponent passes the opponent's whole string.
+
+    The mask prunes: a letter of the owner's splits the settled mask in
+    halves, H's low, and skips a child whose half is full; a letter of the
+    other seat's passes the mask through both children and stops once it
+    is full.  So a leaf that never settles prunes nothing, and a walk with
+    one owner string stops at its first settling branch end.
     """
     ca: list[int] = []
     ra: list[tuple[int, int]] = []
     cb: list[int] = []
     rb: list[tuple[int, int]] = []
     path: set[tuple[int, int, int]] = set()
+    # full[r]: every completion of an owner prefix r letters short of n.
+    full = [(1 << (1 << r)) - 1 for r in range(n - (alice, bob)[owner][1] + 1)]
 
-    def walk(p: int, q: int, a_code: int, b_code: int, fa: int, fb: int):
+    def walk(p: int, q: int, a_code: int, b_code: int, fa: int, fb: int, done: int):
         added = []
         la, lb = len(ra), len(rb)
         try:
@@ -559,33 +574,48 @@ def _trie_walk(n: int, alice: tuple[int, int], bob: tuple[int, int], leaf):
                 turn = len(path) & 1
                 key = (p, q, turn)
                 if key in path:
-                    return leaf(a_code, la, b_code, lb, _NO_WIN, len(path))
+                    if leaf(a_code, la, b_code, lb, _NO_WIN, len(path)):
+                        return full[n - (lb if owner else la)]
+                    return done
                 path.add(key)
                 added.append(key)
                 c = cb[q] if turn else ca[p]
                 p = ra[p][c]
                 q = rb[q][c]
                 if p == n or q == n:
-                    if p == q:  # a string against itself: not a game
-                        return None
-                    return leaf(a_code, la, b_code, lb, int(p != n), len(path))
+                    # p == q only for a string against itself: not a game.
+                    if p != q and leaf(a_code, la, b_code, lb, int(p != n), len(path)):
+                        return full[n - (lb if owner else la)]
+                    return done
+            seat = p != la  # whose letter is read: Alice's when both are due
             for c in (0, 1):
-                if p == la:
-                    after = _kmp_push(ca, ra, fa, c)
-                    found = walk(p, q, a_code << 1 | c, b_code, after, fb)
-                    ca.pop()
-                    ra.pop()
-                else:
+                # With nothing settled there is no mask to split or pass on.
+                sub = done
+                if sub:
+                    r = n - (lb if owner else la)  # the owner's letters left
+                    if seat == owner:  # the H child holds the low half, T the high
+                        r -= 1
+                        sub = sub >> (c << r) & full[r]
+                    if sub == full[r]:
+                        continue
+                if seat:
                     after = _kmp_push(cb, rb, fb, c)
-                    found = walk(p, q, a_code, b_code << 1 | c, fa, after)
+                    sub = walk(p, q, a_code, b_code << 1 | c, fa, after, sub)
                     cb.pop()
                     rb.pop()
-                if found is not None:
-                    return found
-            return None
+                else:
+                    after = _kmp_push(ca, ra, fa, c)
+                    sub = walk(p, q, a_code << 1 | c, b_code, after, fb, sub)
+                    ca.pop()
+                    ra.pop()
+                if sub:  # a child's mask holds the one it was given
+                    if seat == owner:
+                        sub <<= c << n - (lb if owner else la) - 1
+                    done |= sub
+            return done
         finally:
             path.difference_update(added)
 
     fa = _push_string(ca, ra, alice[1], alice[0])
     fb = _push_string(cb, rb, bob[1], bob[0])
-    return walk(0, 0, alice[0], bob[0], fa, fb)
+    return walk(0, 0, alice[0], bob[0], fa, fb, 0)

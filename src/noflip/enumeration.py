@@ -11,9 +11,11 @@ players' prefixes at once, pushing and popping each player's rows as the
 game reads their letters; it calls a game infinite when a (progress,
 progress, turn) triplet repeats, and it never plays a string against
 itself.  The walk fixes the first string's first letter to H, and
-complements cover the rest.  The no-loss sweep asks the forcing search,
-the same walk with the opponent's whole string pushed, once per string;
-this module passes string prefixes and holds no game loop.  The engine's
+complements cover the rest.  The no-loss sweep runs the same walk once
+per chunk, Alice's prefix against every Bob string, and keeps the Alice
+strings that no branch end Alice wins settles; the walk prunes a subtree
+once every Alice string in it is settled.  This module passes string
+prefixes and holds no game loop.  The engine's
 per-pair toss-cutoff replay (no win within ``finite_toss_bound(n)``
 tosses) is their oracle in the ``bound`` and ``forcing`` suites.  Sweeps
 are embarrassingly parallel, and every sweep splits the same way: one
@@ -38,6 +40,7 @@ from .engine import (
     MAX_LENGTH,
     Player,
     TossString,
+    _ALICE_WIN,
     _KINDS,
     _NO_WIN,
     _TURNS,
@@ -198,13 +201,20 @@ def longest_finite(
 
 
 def _no_loss_chunk(args: tuple[int, int, int]) -> list[int]:
-    """Non-constant codes under one prefix against which Bob cannot force a loss."""
+    """Non-constant codes under one prefix against which Bob cannot force a
+    loss: those no branch end that Alice wins settles, in one walk with
+    Alice's prefix as the owner."""
     n, prefix, length = args
-    shift = n - length
+
+    def alice_wins(a_code, a_len, b_code, b_len, result: int, tosses: int) -> bool:
+        return result == _ALICE_WIN
+
+    settled = _trie_walk(n, (prefix, length), (0, 0), alice_wins)
+    first = prefix << (n - length)
     return [
-        code
-        for code in range(max(prefix << shift, 1), (prefix + 1) << shift)
-        if forcing._first_loss(Player.BOB, n, code) is None
+        first + i
+        for i in range(1 << (n - length))
+        if first + i and not settled >> i & 1
     ]
 
 

@@ -8,8 +8,10 @@ to a prefix search (:func:`_first_loss`) on the engine's prefix walk
 (:func:`~noflip.engine._trie_walk`), which the sweeps share, with the
 opponent's whole string known.  The walk reads the caller's string one
 letter at a time, H before T, only when the game needs it, so one branch
-settles every string that shares its prefix.  The search
-returns the string a scan of all candidates in H < T order finds first.
+settles every string that shares its prefix.  The opponent's seat owns
+the walk's settled set, a single string, so the walk stops at the first
+branch end the caller loses, and the search returns the string a scan of
+all candidates in H < T order finds first.
 
 That one string, rule or search answer, is played against the real
 opponent in one place (:func:`_finish`), so a construction bug is a hard
@@ -126,22 +128,27 @@ def _finish(
 def _first_loss(role: Player, n: int, opponent_code: int) -> int | None:
     """The first code, in H < T order, of a string of length n with which
     ``role`` loses to the opponent string ``opponent_code``; None if no
-    string does.  The first branch end of :func:`~noflip.engine._trie_walk`,
-    with the opponent's whole string pushed, that the opponent wins holds
-    it, its prefix padded with H; the walk never reaches the opponent's
-    own string, so one leaf serves both seats."""
+    string does.  :func:`~noflip.engine._trie_walk` runs with the
+    opponent's whole string pushed and its seat as the owner, so the one
+    owner string is settled, and the walk stops, at the first branch end
+    the opponent wins, which holds the answer as its prefix padded with H.
+    The walk never reaches the opponent's own string, so one leaf serves
+    both seats."""
     lost = _KINDS.index(_GOAL_KINDS[role, ForceGoal.LOSS])
     seats = [(0, 0), (opponent_code, n)]  # the searcher's prefix, then the opponent's
     if role is Player.BOB:
         seats.reverse()
+    found = []
 
     def loses(a_code, a_len, b_code, b_len, result, tosses):
         if result != lost:
-            return None
+            return False
         code, length = (a_code, a_len) if role is Player.ALICE else (b_code, b_len)
-        return code << (n - length)
+        found.append(code << (n - length))  # the all-H code 0 is falsy
+        return True
 
-    return _trie_walk(n, *seats, loses)
+    _trie_walk(n, *seats, loses, owner=int(role is Player.ALICE))
+    return found[0] if found else None
 
 
 # ---------------------------------------------------------------------------

@@ -306,10 +306,11 @@ def walk_against(n, opponent, searcher):
             assert own not in settled
             settled[own] = result, tosses
 
+    # A leaf that returns nothing settles nothing: the mask is empty.
     if searcher is Player.ALICE:
-        assert _trie_walk(n, (0, 0), fixed, leaf) is None
+        assert _trie_walk(n, (0, 0), fixed, leaf) == 0
     else:
-        assert _trie_walk(n, fixed, (0, 0), leaf) is None
+        assert _trie_walk(n, fixed, (0, 0), leaf) == 0
     assert sorted(settled) == [code for code in range(1 << n) if code != opponent]
     return settled
 
@@ -319,6 +320,69 @@ def assert_settled_like_the_oracle(n, a, b, result, tosses):
     assert result == want, (n, a, b)
     if result != _NO_WIN:
         assert tosses == played, (n, a, b)
+
+
+@functools.lru_cache(maxsize=None)
+def reached_by_pairs(n, owner, result):
+    """Mask over the strings of seat ``owner`` (0 Alice, 1 Bob): bit s is
+    set when some other string, in the other seat, reaches ``result``
+    against s by the toss-cutoff oracle."""
+    mask = 0
+    for a in range(1 << n):
+        for b in range(1 << n):
+            if a != b and _playout_code(n, a, b)[0] == result:
+                mask |= 1 << (b if owner else a)
+    return mask
+
+
+def settles_on(result):
+    """A walk leaf that settles exactly the branch ends ending in ``result``."""
+    return lambda a_code, a_len, b_code, b_len, got, tosses: got == result
+
+
+class TestWalkMask:
+    """``_trie_walk`` returns the set of the owner seat's strings that some
+    branch end settled, as a mask in H < T order."""
+
+    @pytest.mark.parametrize("result", range(3))
+    @pytest.mark.parametrize("owner", (0, 1))
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_the_per_pair_oracle(self, n, owner, result):
+        got = _trie_walk(n, (0, 0), (0, 0), settles_on(result), owner)
+        assert got == reached_by_pairs(n, owner, result)
+
+    @pytest.mark.parametrize("result", range(3))
+    @pytest.mark.parametrize("owner", (0, 1))
+    def test_an_owner_prefix_gets_its_slice(self, owner, result):
+        # Starting from a known owner prefix gives that prefix's block of
+        # the whole mask, the other seat's strings all still in play.
+        n = 6
+        whole = reached_by_pairs(n, owner, result)
+        for length in range(1, 4):
+            width = 1 << (n - length)
+            for code in range(1 << length):
+                seats = [(code, length), (0, 0)]
+                if owner:
+                    seats.reverse()
+                got = _trie_walk(n, *seats, settles_on(result), owner)
+                assert got == whole >> (code * width) & ((1 << width) - 1)
+
+    @pytest.mark.parametrize("owner", (0, 1))
+    def test_one_owner_string_stops_at_the_first_settling_end(self, owner):
+        # The forcing search's shape: the owner's whole string is known, so
+        # the first truthy leaf fills the one-bit mask and ends the walk.
+        n = 8
+        calls = []
+
+        def leaf(*end):
+            calls.append(end)
+            return True
+
+        seats = [(0b11010010, n), (0, 0)]
+        if owner:
+            seats.reverse()
+        assert _trie_walk(n, *seats, leaf, owner) == 1
+        assert len(calls) == 1
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -379,9 +443,10 @@ def readme_no_loss_counts():
 
 def test_readme_no_loss_table_matches_the_sweep():
     counts = readme_no_loss_counts()
-    assert sorted(counts) == list(range(2, 15, 2))
-    # n = 14 takes seconds; CI's console-script step checks its row.
-    for n in range(2, 13, 2):
+    assert sorted(counts) == list(range(2, 17, 2))
+    # n = 16 is past the default sweep cap; CI's console-script step
+    # checks its row and n = 14's again, on two workers.
+    for n in range(2, 15, 2):
         assert len(no_loss_strings(n)) == counts[n], n
 
 
