@@ -11,18 +11,18 @@ players' prefixes at once, pushing and popping each player's rows as the
 game reads their letters; it calls a game infinite when a (progress,
 progress, turn) triplet repeats, and it never plays a string against
 itself.  The walk fixes the first string's first letter to H, and
-complements cover the rest.  The no-loss sweep runs the same walk once
-per chunk, Alice's prefix against every Bob string, and keeps the Alice
-strings that no branch end Alice wins settles; the walk prunes a subtree
-once every Alice string in it is settled.  This module passes string
-prefixes and holds no game loop.  The engine's
-per-pair toss-cutoff replay (no win within ``finite_toss_bound(n)``
-tosses) is their oracle in the ``bound`` and ``forcing`` suites.  Sweeps
-are embarrassingly parallel, and every sweep splits the same way: one
-chunk per H-first prefix of ``_SPLIT_LETTERS`` letters of the first
-string, whatever the worker count.  Results merge in prefix order, so
-parallel and sequential runs produce identical output.  Pair iteration
-is in lexicographic order with H < T.
+complements cover the rest.  The no-loss sweep and the ``forcing`` suite
+read one existence mask: the same walk per chunk, one seat the owner,
+marks the owner's strings that some other string meets with a result,
+pruning a subtree once all of them are marked.  This module passes string
+prefixes and holds no game loop.  The engine's per-pair toss-cutoff
+replay (no win within ``finite_toss_bound(n)`` tosses) is the oracle of
+the ``bound`` suite only.  Sweeps are embarrassingly parallel, and every
+sweep splits the same way: one chunk per H-first prefix of
+``_SPLIT_LETTERS`` letters of the first string, whatever the worker
+count.  Results merge in prefix order, so parallel and sequential runs
+produce identical output.  Pair iteration is in lexicographic order with
+H < T.
 
 The verify suites share work across pairs: ``symmetry`` plays each
 complement class once, from its H-first pair, and reports a fault on both
@@ -197,25 +197,32 @@ def longest_finite(
 
 
 # ---------------------------------------------------------------------------
-# no-loss strings
+# existence masks and no-loss strings
 
 
-def _no_loss_chunk(args: tuple[int, int, int]) -> list[int]:
-    """Non-constant codes under one prefix against which Bob cannot force a
-    loss: those no branch end that Alice wins settles, in one walk with
-    Alice's prefix as the owner."""
-    n, prefix, length = args
+def _reach_chunk(owner: int, result: int, task: tuple[int, int, int]) -> int:
+    """The ``owner`` seat's strings that some string in the other seat
+    meets with ``result``, over the pairs whose Alice string extends one
+    prefix: a mask over all 2^n owner strings, from one walk."""
+    n, prefix, length = task
 
-    def alice_wins(a_code, a_len, b_code, b_len, result: int, tosses: int) -> bool:
-        return result == _ALICE_WIN
+    def meets(a_code, a_len, b_code, b_len, got: int, tosses: int) -> bool:
+        return got == result
 
-    settled = _trie_walk(n, (prefix, length), (0, 0), alice_wins)
-    first = prefix << (n - length)
-    return [
-        first + i
-        for i in range(1 << (n - length))
-        if first + i and not settled >> i & 1
-    ]
+    mask = _trie_walk(n, (prefix, length), (0, 0), meets, owner)
+    # An Alice-owned walk masks only the completions of its prefix.
+    return mask if owner else mask << (prefix << (n - length))
+
+
+def _reached(n: int, owner: int, result: int, workers: int) -> int:
+    """Mask over all 2^n strings of the ``owner`` seat (0 Alice, 1 Bob):
+    bit s is set when some string in the other seat meets s with
+    ``result``.  The walk fixes Alice's first letter to H; complementing
+    both strings mirrors a game, so the mask's bits reversed cover the rest."""
+    mask = 0
+    for chunk in _run_chunks(partial(_reach_chunk, owner, result), n, workers):
+        mask |= chunk
+    return mask | int(f"{mask:0{1 << n}b}"[::-1], 2)
 
 
 def no_loss_strings(
@@ -225,8 +232,9 @@ def no_loss_strings(
     string can ever make win: against them, the second player cannot
     throw the game."""
     _check_sweep_args(n, cap, workers)
-    chunks = _run_chunks(_no_loss_chunk, n, workers)
-    return [TossString(n, code) for chunk in chunks for code in chunk]
+    reached = _reached(n, 0, _ALICE_WIN, workers)
+    codes = range(1, 1 << (n - 1))  # H-first, non-constant
+    return [TossString(n, code) for code in codes if not reached >> code & 1]
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +350,11 @@ def _predicates_check(alice: TossString, bob: TossString):
 def _forcing_suite(n: int) -> tuple[int, list[str]]:
     """Run all six forcing operations against every opponent string and
     cross-check: FOUND strings must verify (and respect the win-count
-    bounds), and IMPOSSIBLE answers must survive a brute-force scan."""
+    bounds), and IMPOSSIBLE answers must leave the opponent clear in the
+    existence mask of the goal, built once per (role, goal) per run."""
     checks = 0
     violations: list[str] = []
+    reached: dict[tuple[Player, forcing.ForceGoal], int] = {}
     for code in range(1 << n):
         opponent = TossString(n, code)
         for (role, goal), op in forcing._FORCERS.items():
@@ -365,26 +375,14 @@ def _forcing_suite(n: int) -> tuple[int, list[str]]:
                     limit = n if role is Player.ALICE else n + 1
                     if outcome.tosses > limit:
                         violations.append(f"{label}: win too late ({outcome.tosses})")
-            elif _exists_forcer(role, goal, opponent):
-                violations.append(f"{label}: impossible but a forcer exists")
+            else:
+                if (role, goal) not in reached:
+                    seat = int(role is Player.ALICE)  # the opponent's
+                    wanted = _KINDS.index(forcing._GOAL_KINDS[role, goal])
+                    reached[role, goal] = _reached(n, seat, wanted, 1)
+                if reached[role, goal] >> code & 1:
+                    violations.append(f"{label}: impossible but a forcer exists")
     return checks, violations
-
-
-def _exists_forcer(
-    role: Player, goal: forcing.ForceGoal, opponent: TossString
-) -> bool:
-    """Whether some string reaches the goal against the opponent, judged
-    by the toss cutoff (the oracle of the forcing rules and search)."""
-    n = opponent.length
-    opp = opponent.bits
-    wanted = forcing._GOAL_KINDS[role, goal]
-    for code in range(1 << n):
-        if code == opp:
-            continue
-        a, b = (opp, code) if role is Player.BOB else (code, opp)
-        if _KINDS[_playout_code(n, a, b)[0]] is wanted:
-            return True
-    return False
 
 
 def _symmetry_suite(n: int) -> tuple[int, list[str]]:

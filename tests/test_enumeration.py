@@ -20,6 +20,7 @@ from noflip import (
 )
 from noflip.analysis import Prediction
 from noflip.engine import (
+    _ALICE_WIN,
     _KINDS,
     _NO_WIN,
     _ROWS,
@@ -32,7 +33,7 @@ from noflip.enumeration import (
     DEFAULT_SWEEP_CAP,
     OutcomeCensus,
     VERIFY_SUITES,
-    _exists_forcer,
+    _reached,
     _sweep,
     census,
     longest_finite,
@@ -348,8 +349,13 @@ class TestWalkMask:
     @pytest.mark.parametrize("owner", (0, 1))
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_the_per_pair_oracle(self, n, owner, result):
-        got = _trie_walk(n, (0, 0), (0, 0), settles_on(result), owner)
-        assert got == reached_by_pairs(n, owner, result)
+        want = reached_by_pairs(n, owner, result)
+        assert _trie_walk(n, (0, 0), (0, 0), settles_on(result), owner) == want
+        # The chunked mask: Alice-owned chunk masks land on their prefix's
+        # block, Bob-owned ones overlap, and the complement fold adds the
+        # T-first Alice strings.
+        for workers in (1, 2) if n <= 5 else (1,):
+            assert _reached(n, owner, result, workers) == want, workers
 
     @pytest.mark.parametrize("result", range(3))
     @pytest.mark.parametrize("owner", (0, 1))
@@ -383,6 +389,32 @@ class TestWalkMask:
             seats.reverse()
         assert _trie_walk(n, *seats, leaf, owner) == 1
         assert len(calls) == 1
+
+
+# (role, goal) -> how many opponents the forcing operations call IMPOSSIBLE.
+IMPOSSIBLE_COUNTS = {
+    5: {(Player.ALICE, ForceGoal.LOSS): 2, (Player.ALICE, ForceGoal.INFINITE_GAME): 2},
+    8: {(Player.BOB, ForceGoal.LOSS): 20},
+}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_impossible_answers_meet_the_per_pair_oracle(n):
+    # The forcing suite checks IMPOSSIBLE answers against the walk's
+    # existence masks; here each one meets the per-pair replay instead.
+    impossible = {}
+    for code in range(1 << n):
+        for key, op in forcing._FORCERS.items():
+            if op(TossString(n, code)).status is ForceStatus.IMPOSSIBLE:
+                impossible.setdefault(key, []).append(code)
+    for (role, goal), codes in impossible.items():
+        owner = int(role is Player.ALICE)  # the opponent's seat
+        result = _KINDS.index(forcing._GOAL_KINDS[role, goal])
+        reached = reached_by_pairs(n, owner, result)
+        assert [c for c in codes if reached >> c & 1] == [], (role, goal)
+    if n in IMPOSSIBLE_COUNTS:
+        counts = {key: len(codes) for key, codes in impossible.items()}
+        assert counts == IMPOSSIBLE_COUNTS[n]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -518,11 +550,12 @@ class TestNoLossStrings:
     def test_matches_the_forcing_search(self, n):
         # A no-loss string is one against which Bob cannot force a loss:
         # the prefix search must agree with the cutoff oracle, which plays
-        # every candidate Bob string to the toss bound.
+        # every pair to the toss bound.
+        reached = reached_by_pairs(n, 0, _ALICE_WIN)
         expected = [
-            alice
-            for alice in (TossString(n, code) for code in range(1, 1 << (n - 1)))
-            if not _exists_forcer(Player.BOB, ForceGoal.LOSS, alice)
+            TossString(n, code)
+            for code in range(1, 1 << (n - 1))
+            if not reached >> code & 1
         ]
         assert no_loss_strings(n) == expected
 
