@@ -35,21 +35,32 @@ seat's win is the outcome kind in the same place.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
-from .engine import OutcomeKind, TossString, _KINDS, _seat, _validate_pair
+from .engine import (
+    OutcomeKind,
+    TossString,
+    _KINDS,
+    _Record,
+    _seat,
+    _set,
+    _validate_pair,
+)
 
 
-@dataclass(frozen=True)
-class RunProfile:
+class RunProfile(_Record):
     """Longest H-run and T-run within every prefix of a string.
 
     ``h(p)`` / ``t(p)`` give the longest run of H / T inside the first
     p tosses, for 1-based p up to the string length.
     """
 
+    __slots__ = ("heads", "tails")
     heads: tuple[int, ...]
     tails: tuple[int, ...]
+
+    def __init__(self, heads: tuple[int, ...], tails: tuple[int, ...]) -> None:
+        _set(self, "heads", heads)
+        _set(self, "tails", tails)
 
     def h(self, p: int) -> int:
         return self.heads[self._index(p)]
@@ -85,14 +96,19 @@ def run_profile(s: TossString) -> RunProfile:
     )
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(_Record):
     """A predicted result: which rule fired, the outcome class, and the
     winning toss count when the underlying statement supplies one."""
 
+    __slots__ = ("rule", "kind", "tosses")
     rule: str
     kind: OutcomeKind
-    tosses: int | None = None
+    tosses: int | None
+
+    def __init__(self, rule: str, kind: OutcomeKind, tosses: int | None = None) -> None:
+        _set(self, "rule", rule)
+        _set(self, "kind", kind)
+        _set(self, "tosses", tosses)
 
 
 def _gap_opens(

@@ -17,7 +17,6 @@ a given invocation is byte-identical across runs and thread counts.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -90,6 +89,9 @@ def _outcome_doc(outcome: Outcome) -> dict:
 
 def _emit(docs: list) -> None:
     """One JSON document: the only one, or the list of them."""
+    # Imported here: json would slow every text-format command's start-up.
+    import json
+
     print(json.dumps(docs[0] if len(docs) == 1 else docs))
 
 

@@ -37,9 +37,9 @@ whose ``tosses``, ``states`` and ``text`` are built only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 
 MAX_LENGTH = 63  # a packed toss string must fit in one machine word
 
@@ -70,8 +70,53 @@ def _seat(k: int) -> int:
     return (k - 1) & 1
 
 
-@dataclass(frozen=True, repr=False)
-class TossString:
+_new = object.__new__
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable values, whose fields are their
+    ``__slots__``, a tuple of two or more names (an ``attrgetter`` of one
+    name gives no tuple); each subclass's ``__init__`` stores them with
+    ``_set``.
+
+    Equality (with records of the same class only), hashing, ``repr``,
+    pickling, copying and ``match`` all read the field tuple, as those of
+    a frozen dataclass do, and assigning or deleting an attribute raises
+    ``AttributeError``.  Not using ``dataclasses`` keeps it, and the
+    ``inspect`` and ``ast`` it imports, out of every command's start-up.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls.__slots__)
+        cls.__match_args__ = cls.__slots__
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__match_args__, self._values(self))
+        fields = ", ".join(f"{name}={value!r}" for name, value in pairs)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class TossString(_Record):
     """An immutable H/T string of length 1..63.
 
     The string is bit-packed with the first toss in the highest bit,
@@ -80,24 +125,24 @@ class TossString:
     1-based positions.
     """
 
+    __slots__ = ("length", "bits")
     length: int
     bits: int
 
-    def __post_init__(self) -> None:
-        for name in ("length", "bits"):
-            kind = type(getattr(self, name))
-            if kind is not int:  # bool included
+    def __init__(self, length: int, bits: int) -> None:
+        for name, value in ("length", length), ("bits", bits):
+            if type(value) is not int:  # bool included
                 raise TypeError(
-                    f"toss string {name} must be an int, got {kind.__name__}"
+                    f"toss string {name} must be an int, got {type(value).__name__}"
                 )
-        if not 1 <= self.length <= MAX_LENGTH:
+        if not 1 <= length <= MAX_LENGTH:
             raise ValueError(
-                f"toss string length must be 1..{MAX_LENGTH}, got {self.length}"
+                f"toss string length must be 1..{MAX_LENGTH}, got {length}"
             )
-        if not 0 <= self.bits < (1 << self.length):
-            raise ValueError(
-                f"bits 0x{self.bits:x} out of range for length {self.length}"
-            )
+        if not 0 <= bits < (1 << length):
+            raise ValueError(f"bits 0x{bits:x} out of range for length {length}")
+        _set(self, "length", length)
+        _set(self, "bits", bits)
 
     @classmethod
     def from_text(cls, text: str) -> TossString:
@@ -213,8 +258,7 @@ def _push_string(
 _tables_for = lru_cache(maxsize=4096)(_kmp_tables)
 
 
-@dataclass(frozen=True)
-class ProgressAutomaton:
+class ProgressAutomaton(_Record):
     """Progress tracker for one pattern string.
 
     ``step(state, toss)`` maps a progress value in 0..n-1 and a toss to
@@ -223,8 +267,13 @@ class ProgressAutomaton:
     the pattern just appeared.
     """
 
+    __slots__ = ("pattern", "table")
     pattern: TossString
     table: tuple[tuple[int, int], ...]
+
+    def __init__(self, pattern: TossString, table: tuple[tuple[int, int], ...]) -> None:
+        _set(self, "pattern", pattern)
+        _set(self, "table", table)
 
     @classmethod
     def build(cls, pattern: TossString) -> ProgressAutomaton:
@@ -251,27 +300,29 @@ def scan_progress(pattern: str, output: str) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class GameState:
+class GameState(_Record):
     """Snapshot after toss k: both progress values and the toss count.
 
     Whose turn is next is not a stored field: it is :func:`_seat` of the
     next toss, k + 1, so it is Alice's turn exactly when k is even.
     """
 
+    __slots__ = ("a", "b", "k")
     a: int
     b: int
     k: int
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "k"):
-            kind = type(getattr(self, name))
-            if kind is not int:  # bool included
+    def __init__(self, a: int, b: int, k: int) -> None:
+        for name, value in ("a", a), ("b", b), ("k", k):
+            if type(value) is not int:  # bool included
                 raise TypeError(
-                    f"game state {name} must be an int, got {kind.__name__}"
+                    f"game state {name} must be an int, got {type(value).__name__}"
                 )
-        if self.a < 0 or self.b < 0 or self.k < 0:
+        if a < 0 or b < 0 or k < 0:
             raise ValueError("progress values and toss count must be non-negative")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "k", k)
 
     @property
     def turn(self) -> Player:
@@ -284,12 +335,9 @@ class GameState:
 
 START_STATE = GameState(0, 0, 0)
 
-_new = object.__new__
-_set = object.__setattr__
-
 
 def _state(a: int, b: int, k: int) -> GameState:
-    """A :class:`GameState` without the ``__post_init__`` checks, for
+    """A :class:`GameState` without the checks of its ``__init__``, for
     states that :func:`play` makes consistent by construction."""
     s = _new(GameState)
     _set(s, "a", a)
@@ -308,8 +356,7 @@ _KINDS = tuple(OutcomeKind)  # by result code; a win's code is the winner's seat
 _ALICE_WIN, _BOB_WIN, _NO_WIN = range(3)
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(_Record):
     """Result of a playout.
 
     Wins carry the 1-based toss count of the winning toss.  Infinite
@@ -317,10 +364,23 @@ class Outcome:
     triplet first occurred, and ``period``, the cycle length in tosses.
     """
 
+    __slots__ = ("kind", "tosses", "entry", "period")
     kind: OutcomeKind
-    tosses: int | None = None
-    entry: int | None = None
-    period: int | None = None
+    tosses: int | None
+    entry: int | None
+    period: int | None
+
+    def __init__(
+        self,
+        kind: OutcomeKind,
+        tosses: int | None = None,
+        entry: int | None = None,
+        period: int | None = None,
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "tosses", tosses)
+        _set(self, "entry", entry)
+        _set(self, "period", period)
 
     @staticmethod
     def alice_wins(tosses: int) -> Outcome:
@@ -348,8 +408,7 @@ class Outcome:
         return f"{self.winner.name.title()}Wins at toss {self.tosses}"
 
 
-@dataclass(frozen=True)
-class GameTrace:
+class GameTrace(_Record):
     """A playout, packed: ``codes`` holds one byte per toss, 0 for H and
     1 for T; ``progress`` holds the (alice, bob) progress pair before the
     first toss and after every toss, flattened, so the pair after toss k
@@ -360,23 +419,25 @@ class GameTrace:
     read; callers that only need the outcome never build them.
     """
 
+    __slots__ = ("codes", "progress")
     codes: bytes
     progress: bytes
 
-    def __post_init__(self) -> None:
-        for name in ("codes", "progress"):
-            kind = type(getattr(self, name))
-            if kind is not bytes:
+    def __init__(self, codes: bytes, progress: bytes) -> None:
+        for name, value in ("codes", codes), ("progress", progress):
+            if type(value) is not bytes:
                 raise TypeError(
-                    f"game trace {name} must be bytes, got {kind.__name__}"
+                    f"game trace {name} must be bytes, got {type(value).__name__}"
                 )
-        if self.codes.translate(None, b"\0\1"):
+        if codes.translate(None, b"\0\1"):
             raise ValueError("toss codes must be 0 (H) or 1 (T)")
-        if len(self.progress) != 2 * len(self.codes) + 2:
+        if len(progress) != 2 * len(codes) + 2:
             raise ValueError(
-                f"{len(self.codes)} tosses need {2 * len(self.codes) + 2} "
-                f"progress bytes, got {len(self.progress)}"
+                f"{len(codes)} tosses need {2 * len(codes) + 2} "
+                f"progress bytes, got {len(progress)}"
             )
+        _set(self, "codes", codes)
+        _set(self, "progress", progress)
 
     @property
     def tosses(self) -> tuple[Toss, ...]:
@@ -392,21 +453,8 @@ class GameTrace:
         return self.codes.translate(_CODE_LETTERS).decode()
 
 
-def _outcome(
-    kind: OutcomeKind, tosses: int | None, entry: int | None, period: int | None
-) -> Outcome:
-    """An :class:`Outcome` set field by field, skipping the dataclass
-    ``__init__``, for the one result of each :func:`play`."""
-    o = _new(Outcome)
-    _set(o, "kind", kind)
-    _set(o, "tosses", tosses)
-    _set(o, "entry", entry)
-    _set(o, "period", period)
-    return o
-
-
 def _trace(codes: bytes, progress: bytes) -> GameTrace:
-    """A :class:`GameTrace` without the ``__post_init__`` checks, for the
+    """A :class:`GameTrace` without the checks of its ``__init__``, for the
     traces that :func:`play` makes consistent by construction."""
     t = _new(GameTrace)
     _set(t, "codes", codes)
@@ -457,7 +505,7 @@ def _validate_pair(alice: TossString, bob: TossString) -> int:
         raise ValueError(
             f"strings must have equal length, got {alice.length} and {bob.length}"
         )
-    if alice == bob:
+    if alice.bits == bob.bits:  # lengths agree: alice == bob, minus the record __eq__
         raise ValueError("the two strings must be distinct")
     return alice.length
 
@@ -485,7 +533,7 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
         key = a << 7 | b << 1 | k & 1
         if key in seen:
             entry = seen[key]
-            outcome = _outcome(_KINDS[_NO_WIN], None, entry, k - entry)
+            outcome = Outcome(_KINDS[_NO_WIN], None, entry, k - entry)
             break
         seen[key] = k
         c = cb[b] if k & 1 else ca[a]
@@ -496,7 +544,7 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
         progress.append(a)
         progress.append(b)
         if a == n or b == n:
-            outcome = _outcome(_KINDS[a != n], k, None, None)
+            outcome = Outcome(_KINDS[a != n], k)
             break
 
     # A win lands on toss k and a repeat is found at toss entry + period == k.

@@ -32,7 +32,6 @@ pairs; ``bound`` asks the scan oracle once per (string, toss prefix) per run.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import partial
 from itertools import permutations
 
@@ -44,7 +43,9 @@ from .engine import (
     _KINDS,
     _NO_WIN,
     _TURNS,
+    _Record,
     _playout_code,
+    _set,
     _trie_walk,
     finite_toss_bound,
     play,
@@ -142,15 +143,24 @@ def _sweep(n: int, cap: int, workers: int) -> tuple[list[int], int, list]:
 # census
 
 
-@dataclass(frozen=True)
-class OutcomeCensus:
+class OutcomeCensus(_Record):
     """Exact outcome counts over all ordered pairs of one length."""
 
+    __slots__ = ("n", "total", "alice_wins", "bob_wins", "infinite")
     n: int
     total: int
     alice_wins: int
     bob_wins: int
     infinite: int
+
+    def __init__(
+        self, n: int, total: int, alice_wins: int, bob_wins: int, infinite: int
+    ) -> None:
+        _set(self, "n", n)
+        _set(self, "total", total)
+        _set(self, "alice_wins", alice_wins)
+        _set(self, "bob_wins", bob_wins)
+        _set(self, "infinite", infinite)
 
     @property
     def alice_proportion(self) -> float:
@@ -178,13 +188,23 @@ def census(
 # longest finite games
 
 
-@dataclass(frozen=True)
-class LengthStats:
+class LengthStats(_Record):
     """The longest finite games of one length and the pairs achieving it."""
 
+    __slots__ = ("n", "max_finite_tosses", "argmax_pairs")
     n: int
     max_finite_tosses: int
     argmax_pairs: tuple[tuple[TossString, TossString], ...]
+
+    def __init__(
+        self,
+        n: int,
+        max_finite_tosses: int,
+        argmax_pairs: tuple[tuple[TossString, TossString], ...],
+    ) -> None:
+        _set(self, "n", n)
+        _set(self, "max_finite_tosses", max_finite_tosses)
+        _set(self, "argmax_pairs", argmax_pairs)
 
 
 def longest_finite(
@@ -241,14 +261,22 @@ def no_loss_strings(
 # verification suites
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Record):
     """Result of one verification sweep."""
 
+    __slots__ = ("suite", "n", "checks", "violations")
     suite: str
     n: int
     checks: int
     violations: tuple[str, ...]
+
+    def __init__(
+        self, suite: str, n: int, checks: int, violations: tuple[str, ...]
+    ) -> None:
+        _set(self, "suite", suite)
+        _set(self, "n", n)
+        _set(self, "checks", checks)
+        _set(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

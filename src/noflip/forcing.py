@@ -30,7 +30,6 @@ longer than the search cap that fall off every shape rule come back as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .engine import (
@@ -40,7 +39,9 @@ from .engine import (
     Toss,
     TossString,
     _KINDS,
+    _Record,
     _SWAP,
+    _set,
     _trie_walk,
     play,
 )
@@ -60,8 +61,7 @@ class ForceStatus(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class ForceResult:
+class ForceResult(_Record):
     """Outcome of a forcing construction.
 
     ``constructed`` and ``verified_outcome`` are populated only for
@@ -70,10 +70,23 @@ class ForceResult:
     rule that produced the answer (or ``exhaustive-search``).
     """
 
+    __slots__ = ("status", "method", "constructed", "verified_outcome")
     status: ForceStatus
     method: str
-    constructed: TossString | None = None
-    verified_outcome: Outcome | None = None
+    constructed: TossString | None
+    verified_outcome: Outcome | None
+
+    def __init__(
+        self,
+        status: ForceStatus,
+        method: str,
+        constructed: TossString | None = None,
+        verified_outcome: Outcome | None = None,
+    ) -> None:
+        _set(self, "status", status)
+        _set(self, "method", method)
+        _set(self, "constructed", constructed)
+        _set(self, "verified_outcome", verified_outcome)
 
 
 _GOAL_KINDS = {

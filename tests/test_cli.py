@@ -517,6 +517,22 @@ def test_importing_the_cli_does_not_load_the_process_pool():
     assert proc.stdout == "[]\n"
 
 
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
+    # Measured against the modules loaded before the import, so whatever
+    # site loads at start-up does not count.
+    script = (
+        "import sys; before = set(sys.modules); import noflip.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=python_env(), timeout=60,
+    )
+    added = proc.stdout.split()
+    assert "noflip.cli" in added
+    assert not {"dataclasses", "inspect", "json"} & set(added), added
+
+
 def test_ctrl_c_during_a_parallel_sweep_leaves_no_worker():
     proc = cli_process(
         "enumerate", "--n", "13", "--threads", "2",

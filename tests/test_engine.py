@@ -444,8 +444,8 @@ class TestPlay:
         assert play(ts("HH"), ts("TT"))[1] != play(ts("TT"), ts("HH"))[1]
 
     def test_results_match_publicly_constructed_ones(self):
-        # play builds its Outcome and GameTrace without the dataclass
-        # __init__; they must still compare, hash and print like the ones
+        # play builds its GameTrace without the checks of its __init__; it
+        # and the Outcome must still compare, hash and print like the ones
         # the public constructors give for the stepwise playout.
         for n in range(1, 6):
             autos = {s: ProgressAutomaton.build(s) for s in all_strings(n)}
