@@ -58,10 +58,6 @@ class RunProfile(_Record):
     heads: tuple[int, ...]
     tails: tuple[int, ...]
 
-    def __init__(self, heads: tuple[int, ...], tails: tuple[int, ...]) -> None:
-        _set(self, "heads", heads)
-        _set(self, "tails", tails)
-
     def h(self, p: int) -> int:
         return self.heads[self._index(p)]
 

@@ -77,8 +77,11 @@ _set = object.__setattr__
 class _Record:
     """Base of the package's immutable values, whose fields are their
     ``__slots__``, a tuple of two or more names (an ``attrgetter`` of one
-    name gives no tuple); each subclass's ``__init__`` stores them with
-    ``_set``.
+    name gives no tuple).  The base's ``__init__`` binds the fields by
+    position or keyword.  A subclass that checks its fields, or that the
+    package builds once per automaton, game, prediction or force call,
+    writes its own ``__init__`` and stores each field with ``_set``,
+    skipping the base's per-field loop.
 
     Equality (with records of the same class only), hashing, ``repr``,
     pickling, copying and ``match`` all read the field tuple, as those of
@@ -92,6 +95,19 @@ class _Record:
     def __init_subclass__(cls) -> None:
         cls._values = attrgetter(*cls.__slots__)
         cls.__match_args__ = cls.__slots__
+
+    def __init__(self, *values, **named) -> None:
+        fields, name = self.__slots__, type(self).__qualname__
+        if len(values) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(values)}")
+        for field, value in zip(fields, values):
+            _set(self, field, value)
+        for field in fields[len(values) :]:
+            if field not in named:
+                raise TypeError(f"{name} missing field {field!r}")
+            _set(self, field, named.pop(field))
+        if named:  # a keyword that names no field, or one given by position
+            raise TypeError(f"{name} got unknown or repeated fields {tuple(named)}")
 
     def __eq__(self, other):
         if type(other) is type(self):

@@ -32,7 +32,7 @@ pairs; ``bound`` asks the scan oracle once per (string, toss prefix) per run.
 from __future__ import annotations
 
 import os
-from functools import partial
+from functools import lru_cache, partial
 from itertools import permutations
 
 from .engine import (
@@ -45,7 +45,6 @@ from .engine import (
     _TURNS,
     _Record,
     _playout_code,
-    _set,
     _trie_walk,
     finite_toss_bound,
     play,
@@ -153,15 +152,6 @@ class OutcomeCensus(_Record):
     bob_wins: int
     infinite: int
 
-    def __init__(
-        self, n: int, total: int, alice_wins: int, bob_wins: int, infinite: int
-    ) -> None:
-        _set(self, "n", n)
-        _set(self, "total", total)
-        _set(self, "alice_wins", alice_wins)
-        _set(self, "bob_wins", bob_wins)
-        _set(self, "infinite", infinite)
-
     @property
     def alice_proportion(self) -> float:
         return self.alice_wins / self.total
@@ -195,16 +185,6 @@ class LengthStats(_Record):
     n: int
     max_finite_tosses: int
     argmax_pairs: tuple[tuple[TossString, TossString], ...]
-
-    def __init__(
-        self,
-        n: int,
-        max_finite_tosses: int,
-        argmax_pairs: tuple[tuple[TossString, TossString], ...],
-    ) -> None:
-        _set(self, "n", n)
-        _set(self, "max_finite_tosses", max_finite_tosses)
-        _set(self, "argmax_pairs", argmax_pairs)
 
 
 def longest_finite(
@@ -270,14 +250,6 @@ class VerifyReport(_Record):
     checks: int
     violations: tuple[str, ...]
 
-    def __init__(
-        self, suite: str, n: int, checks: int, violations: tuple[str, ...]
-    ) -> None:
-        _set(self, "suite", suite)
-        _set(self, "n", n)
-        _set(self, "checks", checks)
-        _set(self, "violations", violations)
-
     @property
     def ok(self) -> bool:
         return not self.violations
@@ -303,14 +275,7 @@ def _pair_suite(check, n: int) -> tuple[int, list[str]]:
 def _bound_suite(n: int) -> tuple[int, list[str]]:
     """The bound check on every pair, asking the scan oracle once per
     (string, toss prefix) however many games reach it."""
-    scans: dict[tuple[str, str], int] = {}
-
-    def scan(pattern: str, output: str) -> int:
-        key = pattern, output
-        if key not in scans:
-            scans[key] = scan_progress(pattern, output)
-        return scans[key]
-
+    scan = lru_cache(maxsize=None)(scan_progress)
     return _pair_suite(partial(_bound_check, scan=scan), n)
 
 

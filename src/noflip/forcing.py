@@ -116,17 +116,17 @@ def _finish(
     operation passes ``rule=None``, the prefix search's answer within the
     cap.  A string whose playout misses the goal is a bug and raises."""
     n = opponent.length
-    norm = _normalize(opponent)
+    flip = (1 << n) - 1 if opponent.bits >> (n - 1) else 0  # to the H-first frame
     if rule is not None:
         text, method = rule
         code = TossString.from_text(text).bits
     elif n > cap:
         return ForceResult(ForceStatus.UNKNOWN, "exhaustive-search")
     else:
-        code, method = _first_loss(role, n, norm.bits), "exhaustive-search"
+        code, method = _first_loss(role, n, opponent.bits ^ flip), "exhaustive-search"
         if code is None:
             return ForceResult(ForceStatus.IMPOSSIBLE, method)
-    own = TossString(n, code ^ norm.bits ^ opponent.bits)  # in the opponent's frame
+    own = TossString(n, code ^ flip)  # in the opponent's frame
     if own != opponent:
         alice, bob = (own, opponent) if role is Player.ALICE else (opponent, own)
         outcome = play(alice, bob)[0]

@@ -229,3 +229,27 @@ def test_records_match_positional_and_keyword_patterns():
 def test_records_keep_their_fields_in_slots():
     for record, *_ in RECORDS:
         assert not hasattr(record, "__dict__")
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [(record, fields) for record, fields, *_ in RECORDS],
+    ids=[f"{type(r).__name__}-{i}" for i, (r, *_) in enumerate(RECORDS)],
+)
+def test_misused_constructors_raise_type_error(record, fields):
+    cls = type(record)
+    first, *_ = fields
+    values = tuple(fields.values())
+    rest = {name: value for name, value in fields.items() if name != first}
+    misuses = {
+        "missing field": lambda: cls(**rest),
+        "unknown keyword": lambda: cls(*values, extra=1),
+        "field by position and keyword": lambda: cls(*values, **{first: values[0]}),
+        "extra positional value": lambda: cls(*values, values[-1]),
+    }
+    for misuse, build in misuses.items():
+        try:
+            build()
+        except TypeError:
+            continue
+        pytest.fail(f"{cls.__name__}: {misuse} raised no TypeError")
