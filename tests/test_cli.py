@@ -546,20 +546,23 @@ def test_ctrl_c_during_a_parallel_sweep_leaves_no_worker():
             workers = subprocess.run(
                 ["pgrep", "-P", str(proc.pid)], capture_output=True, text=True
             ).stdout.split()
-        assert len(workers) == 2, "the two workers never started"
+        assert len(workers) == 2, f"the two workers never started: children {workers}"
         time.sleep(0.3)  # let both workers pick up their span
-        assert proc.poll() is None, "the sweep ended before the interrupt"
+        assert proc.poll() is None, f"the sweep ended before the interrupt: exit {proc.returncode}"
         os.killpg(proc.pid, signal.SIGINT)
         out, err = proc.communicate(timeout=60)
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
-    assert proc.returncode == 130
-    assert out == ""
-    assert err == "noflip: interrupted\n"
-    left = subprocess.run(["pgrep", "-g", str(proc.pid)], capture_output=True, text=True)
-    assert left.stdout.split() == []
+    left = subprocess.run(
+        ["pgrep", "-g", str(proc.pid)], capture_output=True, text=True
+    ).stdout.split()
+    seen = f"exit {proc.returncode}, stdout {out!r}, stderr {err!r}, pids left {left}"
+    assert proc.returncode == 130, seen
+    assert out == "", seen
+    assert err == "noflip: interrupted\n", seen
+    assert left == [], seen
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

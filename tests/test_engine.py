@@ -300,6 +300,19 @@ class TestProgressAutomaton:
                     )
 
 
+def run_fresh(script: str) -> None:
+    """Run ``script`` in a fresh interpreter that imports this noflip."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(noflip.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestSharedRows:
     @staticmethod
     def strings():
@@ -333,15 +346,40 @@ class TestSharedRows:
             "import noflip, noflip.cli, noflip.engine as e\n"
             "assert not e._ROWS, len(e._ROWS)\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(noflip.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-            timeout=60,
+        run_fresh(script)
+
+    def test_cache_churn_does_not_climb_memory(self):
+        # About 6,600 strings against the 4096-entry cache, as the games
+        # benchmark meets them, evict and rebuild tables on every pass.  A
+        # table tuple grown in steps and shrunk at the end left the process
+        # 3.2-3.6 MB larger over the last 30 passes; one built at its size,
+        # about 0.2 MB.  A process started by exec keeps the peak RSS of the
+        # one it was forked from, here pytest, so the passes run in a forked
+        # child, whose peak starts at its own size.  ru_maxrss is KB on
+        # Linux and bytes on macOS.
+        script = (
+            "import os, random, resource, sys\n"
+            "from noflip.engine import _tables_for\n"
+            "pid = os.fork()\n"
+            "if pid:\n"
+            "    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+            "def rss():\n"
+            "    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    return kb / 1024 if sys.platform == 'darwin' else kb\n"
+            "rng = random.Random(6600)\n"
+            "lengths = [rng.randint(4, 63) for _ in range(6600)]\n"
+            "strings = [(n, rng.getrandbits(n)) for n in lengths]\n"
+            "for done in range(1, 37):\n"
+            "    rng.shuffle(strings)\n"
+            "    for n, bits in strings:\n"
+            "        _tables_for(n, bits)\n"
+            "    if done == 6:\n"
+            "        base = rss()\n"
+            "grown = (rss() - base) / 1024\n"
+            "if grown >= 1.5:\n"
+            "    sys.exit(f'ru_maxrss grew {grown:.2f} MB over 30 passes')\n"
         )
-        assert proc.returncode == 0, proc.stderr
+        run_fresh(script)
 
 
 # ---------------------------------------------------------------------------
