@@ -23,9 +23,6 @@ shifts compared after an XOR into the frame where Alice opens with H,
 and seat patterns from one alternating 64-bit mask.  The tests hold the
 overlap and special-string rules equal to letter-by-letter references.
 
-Each public predictor checks its pair and then runs its rule body;
-``all_predictions`` checks the pair once and runs the three bodies.
-
 Every fired prediction is checked against the real playout by the
 enumeration module's ``predicates`` verification suite.  A player's
 seat is their place in the engine's turn order (Alice 0, Bob 1), and a
@@ -137,10 +134,7 @@ def predict_by_runs(alice: TossString, bob: TossString) -> Prediction | None:
     playout cycles.  Covers the doubled-opening corollary (one string
     starting HH, the other TT) at p = 2.
     """
-    return _by_runs(alice, bob, _validate_pair(alice, bob))
-
-
-def _by_runs(alice: TossString, bob: TossString, n: int) -> Prediction | None:
+    n = _validate_pair(alice, bob)
     mask = (1 << n) - 1
     ha, ta = _run_records(alice.bits ^ mask, n), _run_records(alice.bits, n)
     hb, tb = _run_records(bob.bits ^ mask, n), _run_records(bob.bits, n)
@@ -158,10 +152,7 @@ def predict_large_overlap(alice: TossString, bob: TossString) -> Prediction | No
     Alice string that opens with H and apply to the other half by
     complementing both strings.
     """
-    return _large_overlap(alice, bob, _validate_pair(alice, bob))
-
-
-def _large_overlap(alice: TossString, bob: TossString, n: int) -> Prediction | None:
+    n = _validate_pair(alice, bob)
     a, b = alice.bits, bob.bits
     if a >> 1 == b >> 1:
         # Distinct strings sharing the first n-1 tosses differ at the last:
@@ -213,10 +204,7 @@ def predict_special_strings(alice: TossString, bob: TossString) -> Prediction | 
     n), and otherwise the game is infinite.  An alternating string beats
     any opponent that opens with the doubled opposite letter.
     """
-    return _special_strings(alice, bob, _validate_pair(alice, bob))
-
-
-def _special_strings(alice: TossString, bob: TossString, n: int) -> Prediction | None:
+    n = _validate_pair(alice, bob)
     seats = ((alice, bob, 0), (bob, alice, 1))  # (player, opponent, seat)
     for own, other, seat in seats:
         if own.is_constant():
@@ -234,10 +222,9 @@ def _special_strings(alice: TossString, bob: TossString, n: int) -> Prediction |
 
 def all_predictions(alice: TossString, bob: TossString) -> list[Prediction]:
     """Every prediction that fires on the pair, in family order."""
-    n = _validate_pair(alice, bob)
     fired = [
-        _by_runs(alice, bob, n),
-        _large_overlap(alice, bob, n),
-        _special_strings(alice, bob, n),
+        predict_by_runs(alice, bob),
+        predict_large_overlap(alice, bob),
+        predict_special_strings(alice, bob),
     ]
     return [p for p in fired if p is not None]

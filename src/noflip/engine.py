@@ -45,7 +45,6 @@ from operator import attrgetter
 
 MAX_LENGTH = 63  # a packed toss string must fit in one machine word
 
-_SWAP = str.maketrans("HT", "TH")  # complement of a toss text
 _LETTERS = str.maketrans("01", "HT")  # binary digits of packed bits to toss text
 _DIGITS = str.maketrans("HT", "01")  # toss text to the binary digits of its bits
 _CODE_LETTERS = bytes.maketrans(b"\0\1", b"HT")  # toss codes to toss text

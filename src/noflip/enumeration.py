@@ -85,11 +85,18 @@ def _run_chunks(worker, n: int, workers: int) -> list:
     if size == 1:
         return [worker(task) for task in tasks]
     # Imported here: multiprocessing would slow every command's start-up.
+    import signal
     from concurrent.futures import ProcessPoolExecutor
 
-    # Results come back in task order, whichever process ran each task.
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(worker, tasks))
+    # Ctrl-C ends every worker quietly, even an idle one, which would print
+    # a traceback.  The pool then marks the pending futures broken, which on
+    # Python 3.11 raises for a cancelled one, so none is cancelled, as an
+    # interrupted ``map`` would.  Results come back in task order.
+    with ProcessPoolExecutor(
+        size, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_DFL)
+    ) as pool:
+        futures = [pool.submit(worker, task) for task in tasks]
+        return [future.result() for future in futures]
 
 
 def _sweep_chunk(args: tuple[int, int, int]) -> tuple[list[int], int, list]:

@@ -13,12 +13,15 @@ the walk's settled set, a single string, so the walk stops at the first
 branch end the caller loses, and the search returns the string a scan of
 all candidates in H < T order finds first.
 
-That one string, rule or search answer, is played against the real
-opponent in one place (:func:`_finish`), so a construction bug is a hard
-failure rather than a wrong answer.  Results are complement-covariant:
-forcing against the complemented opponent returns the complemented
-string with the same method label, because constructions are built in a
-normalized frame (opponent starting with H) and mapped back.
+That one string, rule or search answer, is a code in the frame where
+the opponent starts with H (:func:`_frame`).  :func:`_finish` maps it
+back and plays it against the real opponent, so a construction bug is a
+hard failure rather than a wrong answer, and forcing against the
+complemented opponent returns the complemented string with the same
+method label.  A rule shifts the opponent's code (first toss in the
+highest bit, T = 1) to copy its letters later or drop its first ones,
+and reads shapes from the opponent as given, since complementing a
+string does not change them; no text is rendered or parsed.
 
 Impossible answers are exact.  Shape rules prove the small exception
 lists (short alternating opponents for infinite games, constant
@@ -36,11 +39,9 @@ from .engine import (
     Outcome,
     OutcomeKind,
     Player,
-    Toss,
     TossString,
     _KINDS,
     _Record,
-    _SWAP,
     _set,
     _trie_walk,
     play,
@@ -99,35 +100,38 @@ _GOAL_KINDS = {
 }
 
 
-def _normalize(opponent: TossString) -> TossString:
-    """The opponent in the frame where it starts with H."""
-    return opponent.complement() if opponent.at(1) is Toss.T else opponent
+def _frame(opponent: TossString) -> int:
+    """The mask whose XOR maps codes of the opponent's length between the
+    opponent's frame and the one where it starts with H: all ones when it
+    starts with T, else 0."""
+    n = opponent.length
+    return (1 << n) - 1 if opponent.bits >> (n - 1) else 0
 
 
 def _finish(
     role: Player,
     goal: ForceGoal,
     opponent: TossString,
-    rule: tuple[str, str] | None,
+    rule: tuple[int, str] | None,
     cap: int = DEFAULT_SEARCH_CAP,
 ) -> ForceResult:
-    """Play one string against the opponent: the applying rule's, a (text,
+    """Play one string against the opponent: the applying rule's, a (code,
     method) pair in the H-first frame, which is final, or, where a loss
-    operation passes ``rule=None``, the prefix search's answer within the
+    operation passes ``rule=None``, the prefix search's code within the
     cap.  A string whose playout misses the goal is a bug and raises."""
     n = opponent.length
-    flip = (1 << n) - 1 if opponent.bits >> (n - 1) else 0  # to the H-first frame
+    flip = _frame(opponent)
     if rule is not None:
-        text, method = rule
-        code = TossString.from_text(text).bits
+        code, method = rule
     elif n > cap:
         return ForceResult(ForceStatus.UNKNOWN, "exhaustive-search")
     else:
         code, method = _first_loss(role, n, opponent.bits ^ flip), "exhaustive-search"
         if code is None:
             return ForceResult(ForceStatus.IMPOSSIBLE, method)
-    own = TossString(n, code ^ flip)  # in the opponent's frame
-    if own != opponent:
+    code ^= flip  # in the opponent's frame
+    if code != opponent.bits:
+        own = TossString(n, code)
         alice, bob = (own, opponent) if role is Player.ALICE else (opponent, own)
         outcome = play(alice, bob)[0]
         if outcome.kind is _GOAL_KINDS[role, goal]:
@@ -180,21 +184,21 @@ def bob_force_win(alice: TossString) -> ForceResult:
     n = alice.length
     if n == 1:
         return ForceResult(ForceStatus.IMPOSSIBLE, "single-letter-alice-always-wins")
-    norm = _normalize(alice)
-    a = norm.text
-    if norm.is_alternating():
-        rule = ("HH" + a[1 : n - 1], "double-first-letter")
+    a = alice.bits ^ _frame(alice)
+    k = alice.first_double()
+    if k is None:  # H, then Alice's first n-1 letters, which open with H
+        rule = (a >> 1, "double-first-letter")
     else:
-        flip = a[norm.first_double() - 1].translate(_SWAP)
-        rule = (flip + a[: n - 1], "flip-before-first-double")
+        flipped = (~a >> (n - k) & 1) << (n - 1)  # the opposite of letter k
+        rule = (flipped | a >> 1, "flip-before-first-double")
     return _finish(Player.BOB, ForceGoal.WIN, alice, rule)
 
 
 def alice_force_win(bob: TossString) -> ForceResult:
     """Alice picks a string that beats the given Bob string: flip his
     first letter and copy his prefix behind it.  She wins on toss n."""
-    norm = _normalize(bob)
-    rule = ("T" + norm.text[: bob.length - 1], "flip-first-letter")
+    n = bob.length
+    rule = (1 << (n - 1) | (bob.bits ^ _frame(bob)) >> 1, "flip-first-letter")
     return _finish(Player.ALICE, ForceGoal.WIN, bob, rule)
 
 
@@ -211,7 +215,7 @@ def bob_force_infinite(alice: TossString) -> ForceResult:
     opening with the doubled letter and a block of three opposites,
     padded with T, which is never read: the game cycles in the block.
     """
-    return _force_infinite(Player.BOB, alice, longest_exception=4, block="HHTTT")
+    return _force_infinite(Player.BOB, alice, longest_exception=4, lead=0)
 
 
 def alice_force_infinite(bob: TossString) -> ForceResult:
@@ -221,21 +225,23 @@ def alice_force_infinite(bob: TossString) -> ForceResult:
     otherwise mirrors the same constant / block-opening constructions
     (her block answers the opponent's alternation one step offset).
     """
-    return _force_infinite(Player.ALICE, bob, longest_exception=5, block="THHTTT")
+    return _force_infinite(Player.ALICE, bob, longest_exception=5, lead=1)
 
 
 def _force_infinite(
-    role: Player, opponent: TossString, longest_exception: int, block: str
+    role: Player, opponent: TossString, longest_exception: int, lead: int
 ) -> ForceResult:
     n = opponent.length
-    norm = _normalize(opponent)
-    if norm.is_alternating():
+    everything = (1 << n) - 1  # the all-T code
+    if opponent.is_alternating():
         if n <= longest_exception:
             return ForceResult(ForceStatus.IMPOSSIBLE, "short-alternating-exception")
-        rule = (block + "T" * (n - len(block)), "alternating-block-cycle")
+        # ``lead`` Ts, HH, then Ts: the block of three Ts and its padding.
+        rule = (everything ^ 0b11 << (n - 2 - lead), "alternating-block-cycle")
     else:
-        doubled = norm.text[norm.first_double() - 1]
-        rule = (doubled.translate(_SWAP) * n, "all-opposite-letter")
+        o = opponent.bits ^ _frame(opponent)
+        doubled = o >> (n - opponent.first_double()) & 1
+        rule = (0 if doubled else everything, "all-opposite-letter")
     return _finish(role, ForceGoal.INFINITE_GAME, opponent, rule)
 
 
@@ -258,22 +264,22 @@ def alice_force_loss(bob: TossString, cap: int = DEFAULT_SEARCH_CAP) -> ForceRes
     n = bob.length
     if n % 2 == 1 and bob.is_constant():
         return ForceResult(ForceStatus.IMPOSSIBLE, "odd-length-constant-opponent")
-    norm = _normalize(bob)
-    b = norm.text
-    run = norm.leading_run()
-    rule: tuple[str, str] | None = None
+    everything = (1 << n) - 1
+    b = bob.bits ^ _frame(bob)
+    run = bob.leading_run()
+    rule: tuple[int, str] | None = None
     if n % 2 == 0:
-        rule = (b[: n - 1] + b[n - 1].translate(_SWAP), "copy-flip-last")
-    elif norm.is_alternating():
-        rule = ("T" * n, "all-opposite-letter")
-    elif b.startswith("HT") and b[norm.first_double() - 1] == "H":
-        rule = (b[2:] + "TT", "drop-two-append-two")
-    elif b.startswith("HT"):
-        rule = (b[1:] + "T", "drop-one-append-one")
+        rule = (b ^ 1, "copy-flip-last")
+    elif bob.is_alternating():
+        rule = (everything, "all-opposite-letter")
+    elif run == 1 and b >> (n - bob.first_double()) & 1 == 0:  # HT..., HH first
+        rule = ((b << 2 | 0b11) & everything, "drop-two-append-two")
+    elif run == 1:
+        rule = ((b << 1 | 1) & everything, "drop-one-append-one")
     elif run % 2 == 0:
-        rule = (b[1:] + "T", "shift-after-even-run")
-    elif b[run : run + 2] == "TT":
-        rule = (b[1:] + "T", "shift-after-odd-run")
+        rule = ((b << 1 | 1) & everything, "shift-after-even-run")
+    elif run < n - 1 and b >> (n - 2 - run) & 1:  # TT after the run
+        rule = ((b << 1 | 1) & everything, "shift-after-odd-run")
     return _finish(Player.ALICE, ForceGoal.LOSS, bob, rule, cap)
 
 
@@ -290,13 +296,12 @@ def bob_force_loss(alice: TossString, cap: int = DEFAULT_SEARCH_CAP) -> ForceRes
     n = alice.length
     if n % 2 == 0 and alice.is_constant():
         return ForceResult(ForceStatus.IMPOSSIBLE, "even-length-constant-opponent")
-    norm = _normalize(alice)
-    a = norm.text
-    rule: tuple[str, str] | None = None
+    a = alice.bits ^ _frame(alice)
+    rule: tuple[int, str] | None = None
     if n % 2 == 1:
-        rule = (a[: n - 1] + a[n - 1].translate(_SWAP), "copy-flip-last")
-    elif norm.leading_run() % 2 == 1:
-        rule = (a[1:] + "T", "shift-after-odd-run")
+        rule = (a ^ 1, "copy-flip-last")
+    elif alice.leading_run() % 2 == 1:
+        rule = ((a << 1 | 1) & ((1 << n) - 1), "shift-after-odd-run")
     return _finish(Player.BOB, ForceGoal.LOSS, alice, rule, cap)
 
 

@@ -421,8 +421,7 @@ class TestMutualConsistency:
             predict(ts(alice), ts(bob))
 
     def test_all_predictions_is_the_three_predictors_in_order(self):
-        # all_predictions checks the pair once and runs the rule bodies;
-        # it must fire exactly what the three checked predictors fire.
+        # all_predictions must fire exactly what the three predictors fire.
         for n in range(1, 9):
             for alice, bob in all_pairs(n):
                 fired = [

@@ -565,6 +565,52 @@ def test_ctrl_c_during_a_parallel_sweep_leaves_no_worker():
     assert left == [], seen
 
 
+# A sweep on two workers whose first chunk blocks until the second has
+# returned and its process waits for another task, then sends Ctrl-C's
+# SIGINT to the whole process group.
+IDLE_WORKER_SCRIPT = """
+import os, signal, sys, time
+from functools import partial
+from noflip import cli, enumeration
+
+def chunk(marker, task):
+    if task[1]:  # returns at once; its process goes back to the task queue
+        open(marker, "w").close()
+        return [0, 0, 0], 0, []
+    while not os.path.exists(marker):
+        time.sleep(0.01)
+    time.sleep(0.5)
+    os.killpg(0, signal.SIGINT)
+    time.sleep(60)
+
+if __name__ == "__main__":
+    os.cpu_count = lambda: 2
+    enumeration._sweep_chunk = partial(chunk, sys.argv[1])
+    sys.exit(cli.main(["enumerate", "--n", "2", "--threads", "2"]))
+"""
+
+
+def test_ctrl_c_reaching_an_idle_worker_prints_no_traceback(tmp_path):
+    script = tmp_path / "idle_worker.py"
+    script.write_text(IDLE_WORKER_SCRIPT)
+    proc = subprocess.Popen(
+        [sys.executable, str(script), str(tmp_path / "returned")],
+        env=python_env(), text=True, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    left = subprocess.run(
+        ["pgrep", "-g", str(proc.pid)], capture_output=True, text=True
+    ).stdout.split()
+    seen = f"exit {proc.returncode}, stdout {out!r}, stderr {err!r}, pids left {left}"
+    assert (proc.returncode, out, err, left) == (130, "", "noflip: interrupted\n", []), seen
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_141_without_a_traceback(unbuffered):
     read_end, write_end = os.pipe()

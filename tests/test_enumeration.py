@@ -145,7 +145,7 @@ class TestCensus:
         opened = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **options):
                 opened.append(max_workers)
 
             def __enter__(self):
@@ -154,8 +154,10 @@ class TestCensus:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, item):
+                future = concurrent.futures.Future()
+                future.set_result(fn(item))
+                return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)

@@ -53,6 +53,96 @@ def exists_forcer(role: Player, goal: ForceGoal, opponent: TossString) -> bool:
     return False
 
 
+SWAP = str.maketrans("HT", "TH")
+
+
+def ref_rule(role: Player, goal: ForceGoal, a: str) -> tuple[str | None, str | None]:
+    """Letter-by-letter reference for the shape rules against an opponent
+    text ``a`` that starts with H: (constructed text, method) for a rule,
+    (None, method) for a shape exception, (None, None) where a loss goes
+    to the search."""
+    n = len(a)
+    k = next((i for i in range(1, n) if a[i - 1] == a[i]), None)  # first double
+    run = len(a) - len(a.lstrip("H"))
+    if goal is ForceGoal.WIN and role is Player.BOB:
+        if n == 1:
+            return None, "single-letter-alice-always-wins"
+        if k is None:
+            return "HH" + a[1 : n - 1], "double-first-letter"
+        return a[k - 1].translate(SWAP) + a[: n - 1], "flip-before-first-double"
+    if goal is ForceGoal.WIN:
+        return "T" + a[: n - 1], "flip-first-letter"
+    if goal is ForceGoal.INFINITE_GAME:
+        longest, block = (4, "HHTTT") if role is Player.BOB else (5, "THHTTT")
+        if k is None and n <= longest:
+            return None, "short-alternating-exception"
+        if k is None:
+            return block + "T" * (n - len(block)), "alternating-block-cycle"
+        return a[k - 1].translate(SWAP) * n, "all-opposite-letter"
+    copy_flip = a[: n - 1] + a[n - 1].translate(SWAP)
+    if role is Player.BOB:
+        if n % 2 == 0 and run == n:
+            return None, "even-length-constant-opponent"
+        if n % 2 == 1:
+            return copy_flip, "copy-flip-last"
+        if run % 2 == 1:
+            return a[1:] + "T", "shift-after-odd-run"
+        return None, None
+    if n % 2 == 1 and run == n:
+        return None, "odd-length-constant-opponent"
+    if n % 2 == 0:
+        return copy_flip, "copy-flip-last"
+    if k is None:
+        return "T" * n, "all-opposite-letter"
+    if a.startswith("HT") and a[k - 1] == "H":
+        return a[2:] + "TT", "drop-two-append-two"
+    if a.startswith("HT"):
+        return a[1:] + "T", "drop-one-append-one"
+    if run % 2 == 0:
+        return a[1:] + "T", "shift-after-even-run"
+    if a[run : run + 2] == "TT":
+        return a[1:] + "T", "shift-after-odd-run"
+    return None, None
+
+
+def ref_force_at_cap_zero(role: Player, goal: ForceGoal, opponent: str):
+    """(status, method, constructed text) of ``force`` at cap 0, by the
+    reference rules in the frame where the opponent starts with H, mapped
+    back to the opponent's own frame."""
+    flipped = opponent.startswith("T")
+    text, method = ref_rule(role, goal, opponent.translate(SWAP) if flipped else opponent)
+    if method is None:
+        return UNKNOWN, "exhaustive-search", None
+    if text is None:
+        return IMPOSSIBLE, method, None
+    return FOUND, method, text.translate(SWAP) if flipped else text
+
+
+class TestRulesMatchTheLetterReference:
+    def test_every_operation_matches_the_reference_in_both_frames(self):
+        for n in range(1, 13):
+            for opponent in all_strings(n):  # H-first and T-first alike
+                text = opponent.text
+                for role, goal in forcing._FORCERS:
+                    result = force(role, goal, opponent, cap=0)
+                    constructed = result.constructed and result.constructed.text
+                    assert (result.status, result.method, constructed) == (
+                        ref_force_at_cap_zero(role, goal, text)
+                    ), (role, goal, text)
+
+
+def test_a_force_call_renders_and_parses_no_text(monkeypatch):
+    def no_text(*args):
+        raise AssertionError("a force call used toss text")
+
+    monkeypatch.setattr(TossString, "text", property(no_text))
+    monkeypatch.setattr(TossString, "from_text", classmethod(no_text))
+    for n in range(1, 9):
+        for opponent in all_strings(n):
+            for role, goal in forcing._FORCERS:
+                assert force(role, goal, opponent).status in (FOUND, IMPOSSIBLE)
+
+
 class TestBobForceWin:
     def test_alternating_opponent(self):
         result = bob_force_win(ts("HTHT"))
@@ -340,14 +430,12 @@ class TestSearchOrder:
     H < T order in the frame where the opponent starts with H, that
     reaches the goal."""
 
-    SWAP = str.maketrans("HT", "TH")
-
     def first_by_scan(self, role: Player, opponent: TossString):
         wanted = _GOAL_KINDS[role, ForceGoal.LOSS]
         flipped = opponent.text.startswith("T")
         for candidate in all_strings(opponent.length):
             if flipped:
-                candidate = ts(candidate.text.translate(self.SWAP))
+                candidate = ts(candidate.text.translate(SWAP))
             if candidate == opponent:
                 continue
             if role is Player.ALICE:
