@@ -15,22 +15,23 @@ strings end within ``finite_toss_bound(n)`` tosses, which the engine
 checks on every playout.
 
 Progress updates are answered by a precomputed pattern-matching
-automaton per string: its Knuth-Morris-Pratt transition rows, where
-each new state copies the row of its fallback state, so each toss
-costs O(1).  :func:`_kmp_tables` builds a table in one pass, interning
-each row in ``_ROWS`` as it goes, so the cached tables share one tuple
-per distinct (H, T) row, and allocates the rows' tuple at its size,
-which keeps memory flat as the cache evicts and rebuilds tables.  The
-direct suffix-comparison formula is kept as :func:`scan_progress` and
-serves as an independent oracle for the automaton in the test suite.
+automaton per string: its Knuth-Morris-Pratt transition rows, where each
+new state copies the row of its fallback state, so each toss costs O(1).
+:func:`_kmp_tables`, the one builder, makes a table in one pass,
+interning each row in ``_ROWS`` as it goes, so the cached tables share
+one tuple per distinct (H, T) row, and allocates the rows' tuple at its
+size, which keeps memory flat as the cache evicts and rebuilds tables.
+The direct suffix-comparison formula is kept as :func:`scan_progress`
+and serves as an independent oracle for the automaton in the test suite.
 
 Every game loop lives here, and no other module reads the automaton
 tables: the sweeps and the forcing search pass string prefixes to
-:func:`_trie_walk`, one walk over both players' prefixes that pushes and
-pops each player's rows uncached and returns the set of one seat's
-strings its branch ends settled, pruning a subtree once every string of
-that seat in it is settled; the per-pair toss-cutoff oracle is
-:func:`_playout_code`.
+:func:`_trie_walk`, one walk over both players' prefixes that seeds each
+player's rows from the builder, pushes and pops them uncached and
+uninterned, reads letters from the packed prefixes and returns the set
+of one seat's strings its branch ends settled, pruning a subtree once
+every string of that seat in it is settled; the per-pair toss-cutoff
+oracle is :func:`_playout_code`.
 
 :func:`play` is the one playout that keeps a trace.  It records the
 trace packed, as toss codes and progress bytes in a :class:`GameTrace`,
@@ -226,61 +227,38 @@ class TossString(_Record):
         return f"TossString({self.text!r})"
 
 
-def _kmp_push(
-    chars: list[int], rows: list[tuple[int, int]], fallback: int, c: int
-) -> int:
-    """Extend a string's Knuth-Morris-Pratt rows by one character c.
-
-    rows[s][c] is the progress after reading toss c in progress state s.
-    The new state copies the row of its fallback state, the longest
-    proper border of the characters before c, which is shorter and so
-    already built, and points c forward.  The next state's fallback is
-    where that row sends c, which is returned (0 for the first letter).
-    """
-    state = len(rows)
-    row = rows[fallback] if state else (0, 0)
-    rows.append((row[0], state + 1) if c else (state + 1, row[1]))
-    chars.append(c)
-    return row[c]
-
-
 # Every row a built table holds, mapped to its one shared tuple.  Both
 # entries of a row lie in 0..MAX_LENGTH, so it never exceeds 64 * 64 rows.
 _ROWS: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 def _kmp_tables(
-    length: int, bits: int
+    length: int, bits: int, intern=_ROWS.setdefault
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """The string as 0 (H) / 1 (T) characters, first toss first, with its
-    transition rows, built in one pass that inlines :func:`_kmp_push`'s
-    step: each state copies its fallback's row, points its character at
-    the next state, and the old row gives the next fallback.  Each row is
-    interned in ``_ROWS`` as it is built, so tables share equal rows.  The
-    rows go into a list so that the tuple returned is allocated at its
-    size: one grown in steps from a ``map`` and shrunk at the end left
-    peak RSS climbing as the cache evicted and rebuilt tables (3.2-3.6 MB
-    over 30 passes of 6,600 strings on CPython 3.11, about 0.2 MB now)."""
-    chars = tuple(format(bits, f"0{length}b").encode().translate(_BINARY_CODES))
+    Knuth-Morris-Pratt transition rows: rows[s][c] is the progress after
+    reading toss c in progress state s.  One pass builds them.  Each new
+    state copies the row of its fallback state, the longest proper border
+    of the characters before it, which is shorter and so already built,
+    and points its character at the next state; where the copied row sends
+    that character is the next state's fallback.  Each row goes through
+    ``intern``, by default into ``_ROWS``, so cached tables share equal
+    rows; the prefix walk passes a function that keeps ``_ROWS`` as it is.
+    Length 0 gives no characters and no rows.  The rows go into a list so
+    that the tuple returned is allocated at its size: one grown in steps
+    from a ``map`` and shrunk at the end left peak RSS climbing as the
+    cache evicted and rebuilt tables (3.2-3.6 MB over 30 passes of 6,600
+    strings on CPython 3.11, about 0.2 MB now)."""
+    # format pads bits 0 to one digit, "0", which length 0 must not read.
+    digits = format(bits, f"0{length}b")[:length]
+    chars = tuple(digits.encode().translate(_BINARY_CODES))
     rows: list[tuple[int, int]] = []
-    intern = _ROWS.setdefault
     fallback_row = (0, 0)  # state 0 copies a row that sends both tosses to 0
     for after, c in enumerate(chars, 1):  # the new row sends c to state `after`
         row = (fallback_row[0], after) if c else (after, fallback_row[1])
         rows.append(intern(row, row))
         fallback_row = rows[fallback_row[c]]
     return chars, tuple(rows)
-
-
-def _push_string(
-    chars: list[int], rows: list[tuple[int, int]], length: int, bits: int
-) -> int:
-    """Push a packed string's characters, first toss first, onto empty
-    rows with :func:`_kmp_push`; return the next state's fallback."""
-    fallback = 0
-    for j in range(length):
-        fallback = _kmp_push(chars, rows, fallback, (bits >> (length - 1 - j)) & 1)
-    return fallback
 
 
 # Cached for play and _playout_code, the loops that meet the same strings again.
@@ -602,6 +580,21 @@ def _playout_code(n: int, alice_code: int, bob_code: int) -> tuple[int, int]:
     return _NO_WIN, bound
 
 
+def _prefix_rows(
+    code: int, length: int
+) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+    """A prefix's rows from :func:`_kmp_tables`, none interned, as a list
+    for :func:`_trie_walk` to push onto, and the row its next state copies:
+    the row of the state they reach on the prefix without its first letter,
+    the prefix's longest proper border.  The empty prefix's next state
+    copies a row that sends both tosses to 0."""
+    rows = list(_kmp_tables(length, code, {}.setdefault)[1])
+    state = 0
+    for j in range(length - 2, -1, -1):
+        state = rows[state][code >> j & 1]
+    return rows, rows[state] if rows else (0, 0)
+
+
 def _trie_walk(
     n: int, alice: tuple[int, int], bob: tuple[int, int], leaf, owner: int = 0
 ) -> int:
@@ -613,21 +606,24 @@ def _trie_walk(
     as a mask over the owner's completions of its starting prefix: bit i
     is its i-th completion in H < T order.
 
-    The walk keeps each player's characters and Knuth-Morris-Pratt rows on
-    a stack of its own and plays while both progress values lie inside the
-    known prefixes.  When one reaches the end of its prefix, Alice's
-    checked first, it reads that player's next letter, H before T, pushing
-    its row and popping it on the way back; each call carries both
-    fallback states that the next rows copy.  A branch ends at a win
+    The walk keeps a stack of Knuth-Morris-Pratt rows per player, seeded
+    by :func:`_prefix_rows` with nothing interned, and plays while both
+    progress values lie inside the known prefixes, reading each letter
+    from the packed prefix codes.  When one reaches the end of its prefix,
+    Alice's checked first, it reads that player's next letter, H before T,
+    pushing its row and popping it on the way back; each call carries the
+    prefix lengths and the row each player's next state copies, the row of
+    its prefix's longest proper border.  A branch ends at a win
     (``result`` is the winner's seat) or when a (progress, progress, turn)
     triplet repeats on the path (``_NO_WIN``): every completion of the two
     prefixes then plays the same infinite game.  So a branch end settles
     ``1 << (2 * n - a_len - b_len)`` pairs, each prefix in H < T order;
     ``tosses`` counts the path's triplets, one per toss played, and its
-    parity says whose turn it is.  Both strings complete on the same toss
-    only when they are identical, and that branch calls no leaf.  A prefix
-    given in full is never branched on, so a search against a fixed
-    opponent passes the opponent's whole string.
+    parity says whose turn it is.  The path is an insertion-ordered dict,
+    and each call pops the triplets it added.  Both strings complete on
+    the same toss only when they are identical, and that branch calls no
+    leaf.  A prefix given in full is never branched on, so a search
+    against a fixed opponent passes the opponent's whole string.
 
     The mask prunes: a letter of the owner's splits the settled mask in
     halves, H's low, and skips a child whose half is full; a letter of the
@@ -635,35 +631,33 @@ def _trie_walk(
     is full.  So a leaf that never settles prunes nothing, and a walk with
     one owner string stops at its first settling branch end.
     """
-    ca: list[int] = []
-    ra: list[tuple[int, int]] = []
-    cb: list[int] = []
-    rb: list[tuple[int, int]] = []
-    path: set[tuple[int, int, int]] = set()
+    path: dict[tuple[int, int, int], None] = {}
     # full[r]: every completion of an owner prefix r letters short of n.
     full = [(1 << (1 << r)) - 1 for r in range(n - (alice, bob)[owner][1] + 1)]
 
-    def walk(p: int, q: int, a_code: int, b_code: int, fa: int, fb: int, done: int):
-        added = []
-        la, lb = len(ra), len(rb)
-        try:
-            while p < la and q < lb:
-                turn = len(path) & 1
-                key = (p, q, turn)
-                if key in path:
-                    if leaf(a_code, la, b_code, lb, _NO_WIN, len(path)):
-                        return full[n - (lb if owner else la)]
-                    return done
-                path.add(key)
-                added.append(key)
-                c = cb[q] if turn else ca[p]
-                p = ra[p][c]
-                q = rb[q][c]
-                if p == n or q == n:
-                    # p == q only for a string against itself: not a game.
-                    if p != q and leaf(a_code, la, b_code, lb, int(p != n), len(path)):
-                        return full[n - (lb if owner else la)]
-                    return done
+    def walk(p, q, a_code, la, b_code, lb, fa, fb, done: int) -> int:
+        # fa and fb are the rows that each player's next state copies.
+        k = top = len(path)
+        while p < la and q < lb:
+            key = (p, q, k & 1)
+            if key in path:
+                if leaf(a_code, la, b_code, lb, _NO_WIN, k):
+                    done = full[n - (lb if owner else la)]
+                break
+            path[key] = None
+            if k & 1:
+                c = b_code >> (lb - 1 - q) & 1
+            else:
+                c = a_code >> (la - 1 - p) & 1
+            p = ra[p][c]
+            q = rb[q][c]
+            k += 1
+            if p == n or q == n:
+                # p == q only for a string against itself: not a game.
+                if p != q and leaf(a_code, la, b_code, lb, int(p != n), k):
+                    done = full[n - (lb if owner else la)]
+                break
+        else:
             seat = p != la  # whose letter is read: Alice's when both are due
             for c in (0, 1):
                 # With nothing settled there is no mask to split or pass on.
@@ -676,23 +670,26 @@ def _trie_walk(
                     if sub == full[r]:
                         continue
                 if seat:
-                    after = _kmp_push(cb, rb, fb, c)
-                    sub = walk(p, q, a_code, b_code << 1 | c, fa, after, sub)
-                    cb.pop()
+                    rb.append((fb[0], lb + 1) if c else (lb + 1, fb[1]))
+                    sub = walk(
+                        p, q, a_code, la, b_code << 1 | c, lb + 1, fa, rb[fb[c]], sub
+                    )
                     rb.pop()
                 else:
-                    after = _kmp_push(ca, ra, fa, c)
-                    sub = walk(p, q, a_code << 1 | c, b_code, after, fb, sub)
-                    ca.pop()
+                    ra.append((fa[0], la + 1) if c else (la + 1, fa[1]))
+                    sub = walk(
+                        p, q, a_code << 1 | c, la + 1, b_code, lb, ra[fa[c]], fb, sub
+                    )
                     ra.pop()
                 if sub:  # a child's mask holds the one it was given
                     if seat == owner:
                         sub <<= c << n - (lb if owner else la) - 1
                     done |= sub
-            return done
-        finally:
-            path.difference_update(added)
+        while k > top:  # pop the triplets this call added
+            path.popitem()
+            k -= 1
+        return done
 
-    fa = _push_string(ca, ra, alice[1], alice[0])
-    fb = _push_string(cb, rb, bob[1], bob[0])
-    return walk(0, 0, alice[0], bob[0], fa, fb, 0)
+    ra, fa = _prefix_rows(*alice)
+    rb, fb = _prefix_rows(*bob)
+    return walk(0, 0, alice[0], alice[1], bob[0], bob[1], fa, fb, 0)

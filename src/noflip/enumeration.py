@@ -7,8 +7,9 @@ a loss, and run verification suites that replay the invariants of the
 other modules against brute force.
 
 Census and longest games come from one walk of the engine over both
-players' prefixes at once, pushing and popping each player's rows as the
-game reads their letters; it calls a game infinite when a (progress,
+players' prefixes at once, seeding each player's rows from the engine's
+one automaton builder and pushing and popping them as the game reads
+letters from the packed prefixes; it calls a game infinite when a (progress,
 progress, turn) triplet repeats, and it never plays a string against
 itself.  The walk fixes the first string's first letter to H, and
 complements cover the rest.  The no-loss sweep and the ``forcing`` suite

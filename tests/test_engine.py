@@ -26,8 +26,9 @@ from noflip.engine import (
     _ROWS,
     _TURNS,
     _kmp_tables,
-    _push_string,
+    _prefix_rows,
     _seat,
+    _tables_for,
     advance,
     finite_toss_bound,
     next_choice,
@@ -323,16 +324,31 @@ class TestSharedRows:
             for _ in range(8):
                 yield TossString(n, rng.getrandbits(n))
 
-    def test_tables_hold_the_pushed_rows_interned(self):
+    def test_the_walk_seeds_the_cached_rows(self):
+        # The prefix walk builds its rows with the one builder and interns
+        # none; they equal the cached table's, whose rows are the interned
+        # copies.  The row the walk's next state copies, with the letter it
+        # reads pointed at that state, is the extended string's next row.
+        _tables_for.cache_clear()  # no table built before a test cleared _ROWS
         for s in self.strings():
-            chars: list[int] = []
-            rows: list[tuple[int, int]] = []
-            _push_string(chars, rows, s.length, s.bits)
-            built_chars, built_rows = _kmp_tables(s.length, s.bits)
-            assert built_chars == tuple(chars)
-            assert built_rows == tuple(rows), s.text
-            for row in built_rows:
+            n, bits = s.length, s.bits
+            rows, copied = _prefix_rows(bits, n)
+            chars, cached = _tables_for(n, bits)
+            assert chars == tuple(bits >> (n - 1 - j) & 1 for j in range(n))
+            assert tuple(rows) == cached, s.text
+            for row in cached:
                 assert row is _ROWS[row]
+            if n < MAX_LENGTH:
+                for c in (0, 1):
+                    pushed = (copied[0], n + 1) if c else (n + 1, copied[1])
+                    assert pushed == _tables_for(n + 1, bits << 1 | c)[1][n], s.text
+
+    def test_the_empty_prefix_has_no_rows(self):
+        # format(0, "00b") is "0", which must not read as a letter H.
+        assert _kmp_tables(0, 0) == ((), ())
+        assert _prefix_rows(0, 0) == ([], (0, 0))
+        assert _kmp_tables(1, 0) == ((0,), ((1, 0),))
+        assert _kmp_tables(1, 1) == ((1,), ((0, 1),))
 
     def test_every_length_keeps_the_interned_rows_bounded(self):
         for n in range(1, MAX_LENGTH + 1):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import functools
+import random
 from itertools import permutations
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from noflip import (
 )
 from noflip.analysis import Prediction
 from noflip.engine import (
+    MAX_LENGTH,
     _ALICE_WIN,
     _KINDS,
     _NO_WIN,
@@ -391,6 +393,91 @@ class TestWalkMask:
             seats.reverse()
         assert _trie_walk(n, *seats, leaf, owner) == 1
         assert len(calls) == 1
+
+
+def branch_ends(n, alice, bob):
+    """How many branch ends the walk makes over the pairs extending the
+    prefixes ``alice`` and ``bob``."""
+    ends = []
+    _trie_walk(n, alice, bob, lambda *end: ends.append(end))
+    return len(ends)
+
+
+def oracle_blocks(n, free, seed=0, tries=4):
+    """Seeded blocks of pairs of length n, each an (alice, bob) pair of
+    prefixes, picked for their branch ends: of ``tries`` candidates of a
+    kind, the one whose walk makes the most.  Up to n = 12 Bob's string is
+    free and so are Alice's last ``free`` letters.  Past it both players
+    leave ``free`` letters, after one shared prefix or with Bob's prefix
+    Alice's moved on by one letter.  Those keep both players' progress
+    climbing, so the walk reads the free letters; random prefixes this
+    long mostly end in a repeat before it."""
+    rng = random.Random(n << 16 | free << 8 | seed)
+    fixed = n - free
+    codes = [rng.getrandbits(fixed) for _ in range(2 * tries)]
+
+    def best(candidates):
+        return max(candidates, key=lambda seats: branch_ends(n, *seats))
+
+    if n <= 12:
+        return [best([((a, fixed), (0, 0)) for a in codes[:tries]])]
+    shared = [((a, fixed), (a, fixed)) for a in codes[:tries]]
+    mask = (1 << fixed) - 1
+    moved = [
+        ((a, fixed), ((a << 1 | rng.getrandbits(1)) & mask, fixed))
+        for a in codes[tries:]
+    ]
+    return [best(shared), best(moved)]
+
+
+def assert_block_like_the_oracle(n, alice, bob):
+    """Expand every branch end of the walk over the pairs extending the
+    prefixes ``alice`` and ``bob`` into its pairs: each pair off the
+    diagonal is settled exactly once, no branch end holds a string
+    against itself, and each pair's result, and a win's toss count, is the
+    cutoff oracle's.  Then hold the owner masks, for both seats and all
+    three results, to the same pairs.  Return the branch ends."""
+    (pa, la), (pb, lb) = alice, bob
+    results = {}
+    ends = 0
+
+    def leaf(a_code, a_len, b_code, b_len, result, tosses):
+        nonlocal ends
+        ends += 1
+        assert a_code >> (a_len - la) == pa and b_code >> (b_len - lb) == pb
+        m = min(a_len, b_len)
+        assert a_code >> (a_len - m) != b_code >> (b_len - m), "a string against itself"
+        sa, sb = n - a_len, n - b_len
+        for a in range(a_code << sa, (a_code + 1) << sa):
+            for b in range(b_code << sb, (b_code + 1) << sb):
+                assert (a, b) not in results, (n, a, b)
+                want, played = _playout_code(n, a, b)
+                assert result == want, (n, a, b)
+                assert result == _NO_WIN or tosses == played, (n, a, b)
+                results[a, b] = result
+
+    assert _trie_walk(n, alice, bob, leaf) == 0
+    m = min(la, lb)
+    diagonal = 1 << (n - max(la, lb)) if pa >> (la - m) == pb >> (lb - m) else 0
+    assert len(results) == (1 << (2 * n - la - lb)) - diagonal
+    for owner, (prefix, length) in enumerate((alice, bob)):
+        base = prefix << (n - length)
+        want = [0, 0, 0]
+        for pair, result in results.items():
+            want[result] |= 1 << (pair[owner] - base)
+        for result, mask in enumerate(want):
+            assert _trie_walk(n, alice, bob, settles_on(result), owner) == mask
+    return ends
+
+
+class TestWalkPastTheExhaustiveLengths:
+    """Past n = 9 only the walk counts every pair.  Hold it to the per-pair
+    cutoff oracle on seeded blocks that branch, at every length to 63."""
+
+    @pytest.mark.parametrize("n", range(10, MAX_LENGTH + 1))
+    def test_blocks_match_the_per_pair_oracle(self, n):
+        for alice, bob in oracle_blocks(n, 4):
+            assert assert_block_like_the_oracle(n, alice, bob) > 1
 
 
 # (role, goal) -> how many opponents the forcing operations call IMPOSSIBLE.
