@@ -18,20 +18,21 @@ Progress updates are answered by a precomputed pattern-matching
 automaton per string: its Knuth-Morris-Pratt transition rows, where each
 new state copies the row of its fallback state, so each toss costs O(1).
 :func:`_kmp_tables`, the one builder, makes a table in one pass,
-interning each row in ``_ROWS`` as it goes, so the cached tables share
-one tuple per distinct (H, T) row, and allocates the rows' tuple at its
-size, which keeps memory flat as the cache evicts and rebuilds tables.
-The direct suffix-comparison formula is kept as :func:`scan_progress`
-and serves as an independent oracle for the automaton in the test suite.
+interning each row in ``_ROWS`` as it goes, so tables share one tuple
+per distinct (H, T) row, and allocates the rows' tuple at its size,
+which keeps memory flat as the cache evicts and rebuilds tables; it also
+returns the row a next state would copy.  The direct suffix-comparison
+formula is kept as :func:`scan_progress` and serves as an independent
+oracle for the automaton in the test suite.
 
 Every game loop lives here, and no other module reads the automaton
 tables: the sweeps and the forcing search pass string prefixes to
 :func:`_trie_walk`, one walk over both players' prefixes that seeds each
-player's rows from the builder, pushes and pops them uncached and
-uninterned, reads letters from the packed prefixes and returns the set
-of one seat's strings its branch ends settled, pruning a subtree once
-every string of that seat in it is settled; the per-pair toss-cutoff
-oracle is :func:`_playout_code`.
+player's rows, and the row its next state copies, from the builder,
+pushes and pops further rows neither cached nor interned, reads letters
+from the packed prefixes and returns the set of one seat's strings its
+branch ends settled, pruning a subtree once every string of that seat in
+it is settled; the per-pair toss-cutoff oracle is :func:`_playout_code`.
 
 :func:`play` is the one playout that keeps a trace.  It records the
 trace packed, as toss codes and progress bytes in a :class:`GameTrace`,
@@ -233,22 +234,20 @@ _ROWS: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 def _kmp_tables(
-    length: int, bits: int, intern=_ROWS.setdefault
-) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """The string as 0 (H) / 1 (T) characters, first toss first, with its
-    Knuth-Morris-Pratt transition rows: rows[s][c] is the progress after
-    reading toss c in progress state s.  One pass builds them.  Each new
-    state copies the row of its fallback state, the longest proper border
-    of the characters before it, which is shorter and so already built,
-    and points its character at the next state; where the copied row sends
-    that character is the next state's fallback.  Each row goes through
-    ``intern``, by default into ``_ROWS``, so cached tables share equal
-    rows; the prefix walk passes a function that keeps ``_ROWS`` as it is.
-    Length 0 gives no characters and no rows.  The rows go into a list so
-    that the tuple returned is allocated at its size: one grown in steps
-    from a ``map`` and shrunk at the end left peak RSS climbing as the
-    cache evicted and rebuilt tables (3.2-3.6 MB over 30 passes of 6,600
-    strings on CPython 3.11, about 0.2 MB now)."""
+    length: int, bits: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], tuple[int, int]]:
+    """The string as 0 (H) / 1 (T) characters, first toss first, its
+    Knuth-Morris-Pratt transition rows, where rows[s][c] is the progress
+    after reading toss c in progress state s, and the row that a next
+    state, one past the string, would copy.  One pass builds them.  Each
+    new state copies the row of its fallback state, the longest proper
+    border of the characters before it, which is shorter and so already
+    built, and points its character at the next state; where the copied
+    row sends that character is the next state's fallback.  Every row is
+    interned in ``_ROWS``, so tables share equal rows.  Length 0 gives no
+    characters, no rows and the row (0, 0), which sends both tosses to 0.
+    The rows go into a list so that the tuple returned is allocated at its
+    size, which keeps memory flat as the cache evicts and rebuilds tables."""
     # format pads bits 0 to one digit, "0", which length 0 must not read.
     digits = format(bits, f"0{length}b")[:length]
     chars = tuple(digits.encode().translate(_BINARY_CODES))
@@ -256,9 +255,9 @@ def _kmp_tables(
     fallback_row = (0, 0)  # state 0 copies a row that sends both tosses to 0
     for after, c in enumerate(chars, 1):  # the new row sends c to state `after`
         row = (fallback_row[0], after) if c else (after, fallback_row[1])
-        rows.append(intern(row, row))
+        rows.append(_ROWS.setdefault(row, row))
         fallback_row = rows[fallback_row[c]]
-    return chars, tuple(rows)
+    return chars, tuple(rows), fallback_row
 
 
 # Cached for play and _playout_code, the loops that meet the same strings again.
@@ -526,8 +525,8 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
     raising ``RuntimeError`` if it fails.
     """
     n = _validate_pair(alice, bob)
-    ca, ra = _tables_for(alice.length, alice.bits)
-    cb, rb = _tables_for(bob.length, bob.bits)
+    ca, ra, _ = _tables_for(alice.length, alice.bits)
+    cb, rb, _ = _tables_for(bob.length, bob.bits)
 
     # A repeat key packs (a, b, turn) into one int: a, b < n <= 63 while it runs.
     a = b = k = 0
@@ -567,8 +566,8 @@ def play(alice: TossString, bob: TossString) -> tuple[Outcome, GameTrace]:
 def _playout_code(n: int, alice_code: int, bob_code: int) -> tuple[int, int]:
     """One pair's (result, tosses played) by the toss cutoff alone, with
     no repeat check: the oracle of :func:`play` and :func:`_trie_walk`."""
-    ca, ra = _tables_for(n, alice_code)
-    cb, rb = _tables_for(n, bob_code)
+    ca, ra, _ = _tables_for(n, alice_code)
+    cb, rb, _ = _tables_for(n, bob_code)
     a = b = 0
     bound = finite_toss_bound(n)
     for k in range(bound):
@@ -578,21 +577,6 @@ def _playout_code(n: int, alice_code: int, bob_code: int) -> tuple[int, int]:
         if a == n or b == n:
             return int(a != n), k + 1
     return _NO_WIN, bound
-
-
-def _prefix_rows(
-    code: int, length: int
-) -> tuple[list[tuple[int, int]], tuple[int, int]]:
-    """A prefix's rows from :func:`_kmp_tables`, none interned, as a list
-    for :func:`_trie_walk` to push onto, and the row its next state copies:
-    the row of the state they reach on the prefix without its first letter,
-    the prefix's longest proper border.  The empty prefix's next state
-    copies a row that sends both tosses to 0."""
-    rows = list(_kmp_tables(length, code, {}.setdefault)[1])
-    state = 0
-    for j in range(length - 2, -1, -1):
-        state = rows[state][code >> j & 1]
-    return rows, rows[state] if rows else (0, 0)
 
 
 def _trie_walk(
@@ -607,23 +591,24 @@ def _trie_walk(
     is its i-th completion in H < T order.
 
     The walk keeps a stack of Knuth-Morris-Pratt rows per player, seeded
-    by :func:`_prefix_rows` with nothing interned, and plays while both
-    progress values lie inside the known prefixes, reading each letter
-    from the packed prefix codes.  When one reaches the end of its prefix,
-    Alice's checked first, it reads that player's next letter, H before T,
-    pushing its row and popping it on the way back; each call carries the
-    prefix lengths and the row each player's next state copies, the row of
-    its prefix's longest proper border.  A branch ends at a win
-    (``result`` is the winner's seat) or when a (progress, progress, turn)
-    triplet repeats on the path (``_NO_WIN``): every completion of the two
-    prefixes then plays the same infinite game.  So a branch end settles
-    ``1 << (2 * n - a_len - b_len)`` pairs, each prefix in H < T order;
-    ``tosses`` counts the path's triplets, one per toss played, and its
-    parity says whose turn it is.  The path is an insertion-ordered dict,
-    and each call pops the triplets it added.  Both strings complete on
-    the same toss only when they are identical, and that branch calls no
-    leaf.  A prefix given in full is never branched on, so a search
-    against a fixed opponent passes the opponent's whole string.
+    with a prefix's rows from :func:`_kmp_tables`, uncached, and plays
+    while both progress values lie inside the known prefixes, reading each
+    letter from the packed prefix codes.  When one reaches the end of its
+    prefix, Alice's checked first, it reads that player's next letter, H
+    before T, pushing its row, neither cached nor interned, and popping it
+    on the way back; each call carries the prefix lengths and the row each
+    player's next state copies, which the builder returns for the seed.  A
+    branch ends at a win (``result`` is the winner's seat) or when a
+    (progress, progress, turn) triplet repeats on the path (``_NO_WIN``):
+    every completion of the two prefixes then plays the same infinite
+    game.  So a branch end settles ``1 << (2 * n - a_len - b_len)`` pairs,
+    each prefix in H < T order; ``tosses`` counts the path's triplets, one
+    per toss played, and its parity says whose turn it is.  The path is an
+    insertion-ordered dict, and each call pops the triplets it added.
+    Both strings complete on the same toss only when they are identical,
+    and that branch calls no leaf.  A prefix given in full is never
+    branched on, so a search against a fixed opponent passes the
+    opponent's whole string.
 
     The mask prunes: a letter of the owner's splits the settled mask in
     halves, H's low, and skips a child whose half is full; a letter of the
@@ -690,6 +675,7 @@ def _trie_walk(
             k -= 1
         return done
 
-    ra, fa = _prefix_rows(*alice)
-    rb, fb = _prefix_rows(*bob)
+    _, ra, fa = _kmp_tables(alice[1], alice[0])
+    _, rb, fb = _kmp_tables(bob[1], bob[0])
+    ra, rb = list(ra), list(rb)  # the stacks the walk pushes onto and pops
     return walk(0, 0, alice[0], alice[1], bob[0], bob[1], fa, fb, 0)

@@ -40,7 +40,6 @@ from .engine import (
     OutcomeKind,
     Player,
     TossString,
-    _KINDS,
     _Record,
     _set,
     _trie_walk,
@@ -151,20 +150,20 @@ def _first_loss(role: Player, n: int, opponent_code: int) -> int | None:
     the opponent wins, which holds the answer as its prefix padded with H.
     The walk never reaches the opponent's own string, so one leaf serves
     both seats."""
-    lost = _KINDS.index(_GOAL_KINDS[role, ForceGoal.LOSS])
+    opponent = int(role is Player.ALICE)  # a win's result is the winner's seat
     seats = [(0, 0), (opponent_code, n)]  # the searcher's prefix, then the opponent's
     if role is Player.BOB:
         seats.reverse()
     found = []
 
     def loses(a_code, a_len, b_code, b_len, result, tosses):
-        if result != lost:
+        if result != opponent:
             return False
         code, length = (a_code, a_len) if role is Player.ALICE else (b_code, b_len)
         found.append(code << (n - length))  # the all-H code 0 is falsy
         return True
 
-    _trie_walk(n, *seats, loses, owner=int(role is Player.ALICE))
+    _trie_walk(n, *seats, loses, owner=opponent)
     return found[0] if found else None
 
 

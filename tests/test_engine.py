@@ -26,7 +26,6 @@ from noflip.engine import (
     _ROWS,
     _TURNS,
     _kmp_tables,
-    _prefix_rows,
     _seat,
     _tables_for,
     advance,
@@ -325,19 +324,23 @@ class TestSharedRows:
                 yield TossString(n, rng.getrandbits(n))
 
     def test_the_walk_seeds_the_cached_rows(self):
-        # The prefix walk builds its rows with the one builder and interns
-        # none; they equal the cached table's, whose rows are the interned
-        # copies.  The row the walk's next state copies, with the letter it
-        # reads pointed at that state, is the extended string's next row.
-        _tables_for.cache_clear()  # no table built before a test cleared _ROWS
+        # The prefix walk seeds its rows, and the row its next state copies,
+        # from the one builder, which interns every row and whose cached
+        # tables are the same.  The copied row is the row of the state the
+        # rows reach on the string without its first letter, its longest
+        # proper border, and with the letter the walk reads pointed at the
+        # next state it is the extended string's next row.
         for s in self.strings():
             n, bits = s.length, s.bits
-            rows, copied = _prefix_rows(bits, n)
-            chars, cached = _tables_for(n, bits)
+            chars, rows, copied = _kmp_tables(n, bits)
+            assert (chars, rows, copied) == _tables_for(n, bits), s.text
             assert chars == tuple(bits >> (n - 1 - j) & 1 for j in range(n))
-            assert tuple(rows) == cached, s.text
-            for row in cached:
+            for row in rows:
                 assert row is _ROWS[row]
+            state = 0
+            for j in range(n - 2, -1, -1):
+                state = rows[state][bits >> j & 1]
+            assert copied == rows[state], s.text
             if n < MAX_LENGTH:
                 for c in (0, 1):
                     pushed = (copied[0], n + 1) if c else (n + 1, copied[1])
@@ -345,10 +348,9 @@ class TestSharedRows:
 
     def test_the_empty_prefix_has_no_rows(self):
         # format(0, "00b") is "0", which must not read as a letter H.
-        assert _kmp_tables(0, 0) == ((), ())
-        assert _prefix_rows(0, 0) == ([], (0, 0))
-        assert _kmp_tables(1, 0) == ((0,), ((1, 0),))
-        assert _kmp_tables(1, 1) == ((1,), ((0, 1),))
+        assert _kmp_tables(0, 0) == ((), (), (0, 0))
+        assert _kmp_tables(1, 0) == ((0,), ((1, 0),), (1, 0))
+        assert _kmp_tables(1, 1) == ((1,), ((0, 1),), (0, 1))
 
     def test_every_length_keeps_the_interned_rows_bounded(self):
         for n in range(1, MAX_LENGTH + 1):
