@@ -26,13 +26,13 @@ formula is kept as :func:`scan_progress` and serves as an independent
 oracle for the automaton in the test suite.
 
 Every game loop lives here, and no other module reads the automaton
-tables: the sweeps and the forcing search pass string prefixes to
-:func:`_trie_walk`, one walk over both players' prefixes that seeds each
-player's rows, and the row its next state copies, from the builder,
-pushes and pops further rows neither cached nor interned, reads letters
-from the packed prefixes and returns the set of one seat's strings its
-branch ends settled, pruning a subtree once every string of that seat in
-it is settled; the per-pair toss-cutoff oracle is :func:`_playout_code`.
+tables: the sweeps and the forcing search pass :func:`_trie_walk` the
+owner seat's prefix, then the other's.  It walks both at once, seeding
+each player's rows, and the row its next state copies, from the builder,
+pushing and popping further rows neither cached nor interned and reading
+letters from the packed prefixes; it reports branch ends Alice's prefix
+first and returns the owner's strings it settled, pruning a subtree once
+all are.  :func:`_playout_code` is the per-pair toss-cutoff oracle.
 
 :func:`play` is the one playout that keeps a trace.  It records the
 trace packed, as toss codes and progress bytes in a :class:`GameTrace`,
@@ -580,15 +580,15 @@ def _playout_code(n: int, alice_code: int, bob_code: int) -> tuple[int, int]:
 
 
 def _trie_walk(
-    n: int, alice: tuple[int, int], bob: tuple[int, int], leaf, owner: int = 0
+    n: int, own: tuple[int, int], other: tuple[int, int], leaf, owner: int = 0
 ) -> int:
     """Play every pair of distinct strings of length n that extend the known
-    prefixes ``alice`` and ``bob``, each a (code, length) pair, at once.
-    At each branch end call ``leaf(a_code, a_len, b_code, b_len, result,
-    tosses)``; a truthy return settles every completion of the ``owner``
-    seat's prefix there (0 for Alice, 1 for Bob).  Return the settled set
-    as a mask over the owner's completions of its starting prefix: bit i
-    is its i-th completion in H < T order.
+    prefixes ``own``, of the ``owner`` seat (0 Alice, 1 Bob), and ``other``,
+    each a (code, length) pair, at once.  At each branch end call
+    ``leaf(a_code, a_len, b_code, b_len, result, tosses)``, Alice's prefix
+    first whatever the owner; a truthy return settles every completion of
+    the owner's prefix there.  Return the settled set as a mask over the
+    completions of ``own``: bit i is its i-th completion in H < T order.
 
     The walk keeps a stack of Knuth-Morris-Pratt rows per player, seeded
     with a prefix's rows from :func:`_kmp_tables`, uncached, and plays
@@ -608,7 +608,7 @@ def _trie_walk(
     Both strings complete on the same toss only when they are identical,
     and that branch calls no leaf.  A prefix given in full is never
     branched on, so a search against a fixed opponent passes the
-    opponent's whole string.
+    opponent's whole string as ``own``.
 
     The mask prunes: a letter of the owner's splits the settled mask in
     halves, H's low, and skips a child whose half is full; a letter of the
@@ -616,9 +616,10 @@ def _trie_walk(
     is full.  So a leaf that never settles prunes nothing, and a walk with
     one owner string stops at its first settling branch end.
     """
+    alice, bob = (other, own) if owner else (own, other)
     path: dict[tuple[int, int, int], None] = {}
     # full[r]: every completion of an owner prefix r letters short of n.
-    full = [(1 << (1 << r)) - 1 for r in range(n - (alice, bob)[owner][1] + 1)]
+    full = [(1 << (1 << r)) - 1 for r in range(n - own[1] + 1)]
 
     def walk(p, q, a_code, la, b_code, lb, fa, fb, done: int) -> int:
         # fa and fb are the rows that each player's next state copies.

@@ -9,21 +9,21 @@ other modules against brute force.
 Census and longest games come from one walk of the engine over both
 players' prefixes at once, seeding each player's rows from the engine's
 one automaton builder and pushing and popping them as the game reads
-letters from the packed prefixes; it calls a game infinite when a (progress,
-progress, turn) triplet repeats, and it never plays a string against
-itself.  The walk fixes the first string's first letter to H, and
+letters from the packed prefixes; it calls a game infinite when a
+(progress, progress, turn) triplet repeats, and it never plays a string
+against itself.  The walk fixes Alice's first letter to H, and
 complements cover the rest.  The no-loss sweep and the ``forcing`` suite
-read one existence mask: the same walk per chunk, one seat the owner,
-marks the owner's strings that some other string meets with a result,
-pruning a subtree once all of them are marked.  This module passes string
-prefixes and holds no game loop.  The engine's per-pair toss-cutoff
-replay (no win within ``finite_toss_bound(n)`` tosses) is the oracle of
-the ``bound`` suite only.  Sweeps are embarrassingly parallel, and every
-sweep splits the same way: one chunk per H-first prefix of
-``_SPLIT_LETTERS`` letters of the first string, whatever the worker
-count.  Results merge in prefix order, so parallel and sequential runs
-produce identical output.  Pair iteration is in lexicographic order with
-H < T.
+read one existence mask: the same walk per chunk, one seat the owner and
+its prefix fixed, marks the owner's strings in that prefix's block that
+some other string meets with a result, pruning a subtree once all of
+them are marked.  This module passes string prefixes and holds no game
+loop.  The engine's per-pair toss-cutoff replay (no win within
+``finite_toss_bound(n)`` tosses) is the oracle of the ``bound`` suite
+only.  Sweeps are embarrassingly parallel, and every sweep splits the
+same way: one chunk per H-first prefix of ``_SPLIT_LETTERS`` letters of
+the owner's string, whatever the worker count.  Results merge in prefix
+order, so parallel and sequential runs produce identical output.  Pair
+iteration is in lexicographic order with H < T.
 
 The verify suites share work across pairs: ``symmetry`` plays each
 complement class once, from its H-first pair, and reports a fault on both
@@ -71,15 +71,15 @@ def _check_sweep_args(n: int, cap: int, workers: int) -> None:
         raise ValueError(f"worker count must be positive, got {workers}")
 
 
-#: Letters of Alice's string, H first, that each sweep chunk fixes in advance:
+#: Letters of the owner's string, H first, that each sweep chunk fixes in advance:
 #: a fixed split, so the chunks and their merge do not depend on the workers.
 _SPLIT_LETTERS = 4
 
 
 def _run_chunks(worker, n: int, workers: int) -> list:
     """Run ``worker`` on each task ``(n, prefix, length)``, one per H-first
-    prefix of Alice's string of ``length = min(n, _SPLIT_LETTERS)``
-    letters, and return the results in prefix order."""
+    prefix of ``length = min(n, _SPLIT_LETTERS)`` letters of the string
+    the worker's walk owns, and return the results in prefix order."""
     length = min(n, _SPLIT_LETTERS)
     tasks = [(n, prefix, length) for prefix in range(1 << (length - 1))]
     size = min(workers, len(tasks), os.cpu_count() or 1)
@@ -92,10 +92,11 @@ def _run_chunks(worker, n: int, workers: int) -> list:
     # Ctrl-C ends every worker quietly, even an idle one, which would print
     # a traceback.  The pool then marks the pending futures broken, which on
     # Python 3.11 raises for a cancelled one, so none is cancelled, as an
-    # interrupted ``map`` would.  Results come back in task order.
-    with ProcessPoolExecutor(
-        size, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_DFL)
-    ) as pool:
+    # interrupted ``map`` would.  Results come back in task order.  A SIGINT
+    # ignored here, as after ``&`` in a script, stays ignored in the workers.
+    ignored = signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+    initargs = (signal.SIGINT, signal.SIG_IGN if ignored else signal.SIG_DFL)
+    with ProcessPoolExecutor(size, initializer=signal.signal, initargs=initargs) as pool:
         futures = [pool.submit(worker, task) for task in tasks]
         return [future.result() for future in futures]
 
@@ -209,24 +210,24 @@ def longest_finite(
 
 
 def _reach_chunk(owner: int, result: int, task: tuple[int, int, int]) -> int:
-    """The ``owner`` seat's strings that some string in the other seat
-    meets with ``result``, over the pairs whose Alice string extends one
-    prefix: a mask over all 2^n owner strings, from one walk."""
+    """The ``owner`` seat's strings that extend one prefix and that some
+    string in the other seat meets with ``result``: a mask over all 2^n
+    owner strings, set only in that prefix's block, from one walk."""
     n, prefix, length = task
 
     def meets(a_code, a_len, b_code, b_len, got: int, tosses: int) -> bool:
         return got == result
 
     mask = _trie_walk(n, (prefix, length), (0, 0), meets, owner)
-    # An Alice-owned walk masks only the completions of its prefix.
-    return mask if owner else mask << (prefix << (n - length))
+    return mask << (prefix << (n - length))
 
 
 def _reached(n: int, owner: int, result: int, workers: int) -> int:
     """Mask over all 2^n strings of the ``owner`` seat (0 Alice, 1 Bob):
     bit s is set when some string in the other seat meets s with
-    ``result``.  The walk fixes Alice's first letter to H; complementing
-    both strings mirrors a game, so the mask's bits reversed cover the rest."""
+    ``result``.  Each chunk fixes an H-first prefix of the owner's string,
+    so the chunk masks are disjoint; complementing both strings mirrors a
+    game, so the mask's bits reversed cover the T-first owner strings."""
     mask = 0
     for chunk in _run_chunks(partial(_reach_chunk, owner, result), n, workers):
         mask |= chunk

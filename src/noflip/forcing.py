@@ -145,15 +145,12 @@ def _first_loss(role: Player, n: int, opponent_code: int) -> int | None:
     """The first code, in H < T order, of a string of length n with which
     ``role`` loses to the opponent string ``opponent_code``; None if no
     string does.  :func:`~noflip.engine._trie_walk` runs with the
-    opponent's whole string pushed and its seat as the owner, so the one
-    owner string is settled, and the walk stops, at the first branch end
-    the opponent wins, which holds the answer as its prefix padded with H.
-    The walk never reaches the opponent's own string, so one leaf serves
-    both seats."""
+    opponent's seat as the owner and its whole string as the owner's
+    prefix, so the one owner string is settled, and the walk stops, at the
+    first branch end the opponent wins, which holds the answer as its
+    prefix padded with H.  The walk never reaches the opponent's own
+    string, so one leaf serves both seats."""
     opponent = int(role is Player.ALICE)  # a win's result is the winner's seat
-    seats = [(0, 0), (opponent_code, n)]  # the searcher's prefix, then the opponent's
-    if role is Player.BOB:
-        seats.reverse()
     found = []
 
     def loses(a_code, a_len, b_code, b_len, result, tosses):
@@ -163,7 +160,7 @@ def _first_loss(role: Player, n: int, opponent_code: int) -> int | None:
         found.append(code << (n - length))  # the all-H code 0 is falsy
         return True
 
-    _trie_walk(n, *seats, loses, owner=opponent)
+    _trie_walk(n, (opponent_code, n), (0, 0), loses, owner=opponent)
     return found[0] if found else None
 
 

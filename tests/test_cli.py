@@ -533,10 +533,20 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
     assert not {"dataclasses", "inspect", "json"} & set(added), added
 
 
-def test_ctrl_c_during_a_parallel_sweep_leaves_no_worker():
+def sigint_at(action):
+    """A ``preexec_fn`` that starts the child with SIGINT at ``action``,
+    whatever the SIGINT action of the process running the tests."""
+    return lambda: signal.signal(signal.SIGINT, action)
+
+
+def interrupt_a_parallel_sweep(action) -> tuple[int, str, str, list[str]]:
+    """Start ``enumerate --n 13 --threads 2`` with SIGINT at ``action``,
+    send SIGINT to its process group once both workers run, and return
+    its exit code, stdout, stderr and the pids left in its group."""
     proc = cli_process(
         "enumerate", "--n", "13", "--threads", "2",
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+        preexec_fn=sigint_at(action),
     )
     try:
         deadline = time.monotonic() + 30
@@ -558,11 +568,20 @@ def test_ctrl_c_during_a_parallel_sweep_leaves_no_worker():
     left = subprocess.run(
         ["pgrep", "-g", str(proc.pid)], capture_output=True, text=True
     ).stdout.split()
-    seen = f"exit {proc.returncode}, stdout {out!r}, stderr {err!r}, pids left {left}"
-    assert proc.returncode == 130, seen
-    assert out == "", seen
-    assert err == "noflip: interrupted\n", seen
-    assert left == [], seen
+    return proc.returncode, out, err, left
+
+
+def test_ctrl_c_during_a_parallel_sweep_leaves_no_worker():
+    got = interrupt_a_parallel_sweep(signal.SIG_DFL)
+    assert got == (130, "", "noflip: interrupted\n", []), got
+
+
+def test_an_ignored_sigint_stays_ignored_in_the_workers():
+    # Started with SIGINT ignored, as ``&`` in a script starts it, the
+    # sweep and both its workers run on through the group's SIGINT.
+    census = "n=13: 67100672 games, 2014310 bob wins, 2063166 alice wins, 63023196 infinite\n"
+    got = interrupt_a_parallel_sweep(signal.SIG_IGN)
+    assert got == (0, census, "", []), got
 
 
 # A sweep on two workers whose first chunk blocks until the second has
@@ -597,6 +616,7 @@ def test_ctrl_c_reaching_an_idle_worker_prints_no_traceback(tmp_path):
         [sys.executable, str(script), str(tmp_path / "returned")],
         env=python_env(), text=True, start_new_session=True,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        preexec_fn=sigint_at(signal.SIG_DFL),
     )
     try:
         out, err = proc.communicate(timeout=60)

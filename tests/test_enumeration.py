@@ -351,11 +351,28 @@ class TestWalkMask:
     def test_matches_the_per_pair_oracle(self, n, owner, result):
         want = reached_by_pairs(n, owner, result)
         assert _trie_walk(n, (0, 0), (0, 0), settles_on(result), owner) == want
-        # The chunked mask: Alice-owned chunk masks land on their prefix's
-        # block, Bob-owned ones overlap, and the complement fold adds the
-        # T-first Alice strings.
+        # The chunked mask: each chunk mask lands on its owner prefix's
+        # block, and the complement fold adds the T-first owner strings.
         for workers in (1, 2) if n <= 5 else (1,):
             assert _reached(n, owner, result, workers) == want, workers
+
+    @pytest.mark.parametrize("result", range(3))
+    @pytest.mark.parametrize("owner", (0, 1))
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_chunks_split_the_owner_strings(self, n, owner, result):
+        # Each chunk of the fixed split fixes the owner's H-first prefix, so
+        # its mask lies in that prefix's block, the chunk masks are disjoint,
+        # and together they give the whole mask's H-first owner strings.
+        chunk = functools.partial(enumeration._reach_chunk, owner, result)
+        chunks = enumeration._run_chunks(chunk, n, 1)
+        width = 1 << (n - min(n, enumeration._SPLIT_LETTERS))
+        union = 0
+        for prefix, mask in enumerate(chunks):
+            assert mask & ~(((1 << width) - 1) << (prefix * width)) == 0, prefix
+            assert union & mask == 0, prefix
+            union |= mask
+        h_first = (1 << (1 << (n - 1))) - 1
+        assert union == reached_by_pairs(n, owner, result) & h_first
 
     @pytest.mark.parametrize("result", range(3))
     @pytest.mark.parametrize("owner", (0, 1))
@@ -367,10 +384,7 @@ class TestWalkMask:
         for length in range(1, 4):
             width = 1 << (n - length)
             for code in range(1 << length):
-                seats = [(code, length), (0, 0)]
-                if owner:
-                    seats.reverse()
-                got = _trie_walk(n, *seats, settles_on(result), owner)
+                got = _trie_walk(n, (code, length), (0, 0), settles_on(result), owner)
                 assert got == whole >> (code * width) & ((1 << width) - 1)
 
     @pytest.mark.parametrize("owner", (0, 1))
@@ -384,10 +398,7 @@ class TestWalkMask:
             calls.append(end)
             return True
 
-        seats = [(0b11010010, n), (0, 0)]
-        if owner:
-            seats.reverse()
-        assert _trie_walk(n, *seats, leaf, owner) == 1
+        assert _trie_walk(n, (0b11010010, n), (0, 0), leaf, owner) == 1
         assert len(calls) == 1
 
 
@@ -456,13 +467,14 @@ def assert_block_like_the_oracle(n, alice, bob):
     m = min(la, lb)
     diagonal = 1 << (n - max(la, lb)) if pa >> (la - m) == pb >> (lb - m) else 0
     assert len(results) == (1 << (2 * n - la - lb)) - diagonal
-    for owner, (prefix, length) in enumerate((alice, bob)):
+    for owner, seats in enumerate(((alice, bob), (bob, alice))):
+        prefix, length = seats[0]
         base = prefix << (n - length)
         want = [0, 0, 0]
         for pair, result in results.items():
             want[result] |= 1 << (pair[owner] - base)
         for result, mask in enumerate(want):
-            assert _trie_walk(n, alice, bob, settles_on(result), owner) == mask
+            assert _trie_walk(n, *seats, settles_on(result), owner) == mask
     return ends
 
 
